@@ -2,14 +2,14 @@
 // efficiency, as well as to provide resilience, the Workers employ
 // reconfigurable accelerators…").
 //
-// Unlike the earlier analytic tables, every number here comes from the
-// *live* runtime: a FaultInjector drives worker crashes, a permanent node
-// loss, a link-degradation window and fabric SEUs through the simulator
-// while the full scheduler (model-based placement, lazy distribution,
-// UNIMEM, UNILOGIC) keeps running. Recovery is heartbeat detection +
-// re-execution on survivors; UNIMEM pages owned by a dead node fail over
-// after bounded retries. Run with --trace to export fault / detect /
-// retry / failover events for scripts/trace_summary.py.
+// Every number here comes from the *live* runtime: a FaultInjector drives
+// worker crashes, a permanent node loss, a link-degradation window and
+// fabric SEUs through the simulator while the full scheduler (model-based
+// placement, lazy distribution, UNIMEM, UNILOGIC) keeps running. Recovery
+// is heartbeat detection + re-execution on survivors; UNIMEM pages owned
+// by a dead node fail over after bounded retries. Run with --trace to
+// export fault / detect / retry / failover events for
+// scripts/trace_summary.py.
 #include <iostream>
 
 #include "bench_util.h"

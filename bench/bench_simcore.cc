@@ -154,11 +154,6 @@ ShardedMeshResult sharded_mesh(std::size_t shards, std::size_t threads,
   sc.lookahead = 200;
   sc.threads = threads;
   sc.mailbox_capacity = 256;
-  // Legacy regression lock: this table's committed baseline hash encodes
-  // the PR-5 fixed-window schedule (window count included), so it pins
-  // kFixedWindow forever. The adaptive engine is gated by the imbalanced
-  // scenario below.
-  sc.window_mode = WindowMode::kFixedWindow;
   ShardedSimulator engine(sc);
   std::vector<ShardHash> hashes(shards);
 
@@ -243,24 +238,26 @@ struct ImbalancedMeshResult {
   }
 };
 
-/// The fixed-window engine's worst case (DESIGN.md §7.8): shard 0 fires
+/// Imbalanced scenario: 1 hot + 63 burst-idle shards.
+constexpr int kImbEpochs = 60;
+constexpr std::uint64_t kImbBurst = 16;
+
+/// A global-window engine's worst case (DESIGN.md §7.8): shard 0 fires
 /// continuously and holds the global floor, shards 1..63 wake in short
-/// synchronized bursts once per 20 us period and sleep in between. Fixed
-/// windows march every shard forward one lookahead (200 ns) at a time —
-/// 100 all-stall barrier rounds per quiet gap — while adaptive horizons
-/// let the hot shard cross each gap in a single fat window and the cold
-/// burst rounds spread over the worker threads via the steal queues.
-ImbalancedMeshResult imbalanced_mesh(WindowMode mode, std::size_t threads) {
+/// synchronized bursts once per 20 us period and sleep in between. One
+/// global window would march every shard forward one lookahead (200 ns)
+/// at a time — 100 all-stall barrier rounds per quiet gap — while the
+/// per-shard horizons let the hot shard cross each gap in a single fat
+/// window and the cold burst rounds spread over the worker threads via
+/// the steal queues.
+ImbalancedMeshResult imbalanced_mesh(std::size_t threads) {
   constexpr std::size_t kShards = 64;
   constexpr SimTime kPeriod = 20000;
-  constexpr int kEpochs = 60;
-  constexpr std::uint64_t kBurst = 16;
   ShardedConfig sc;
   sc.shards = kShards;
   sc.lookahead = 200;
   sc.threads = threads;
   sc.mailbox_capacity = 1024;
-  sc.window_mode = mode;
   ShardedSimulator engine(sc);
   std::vector<ShardHash> hashes(kShards);
 
@@ -289,8 +286,8 @@ ImbalancedMeshResult imbalanced_mesh(WindowMode mode, std::size_t threads) {
     ShardHash* hashes;
     std::size_t shard;
     SimTime next_burst;
-    std::uint64_t burst_left = kBurst;
-    int epochs_left = kEpochs;
+    std::uint64_t burst_left = kImbBurst;
+    int epochs_left = kImbEpochs;
     Rng rng;
     void fire() {
       Simulator& sim = eng->shard(shard);
@@ -309,19 +306,19 @@ ImbalancedMeshResult imbalanced_mesh(WindowMode mode, std::size_t threads) {
                 [e, hs, to] { hs[to].mix(e->shard(to).now()); });
       if (--epochs_left <= 0) return;
       next_burst += kPeriod;
-      burst_left = kBurst;
+      burst_left = kImbBurst;
       sim.schedule_at(next_burst, [this] { fire(); });
     }
   };
 
-  Hot hot{&engine, hashes.data(), kPeriod * kEpochs, Rng(0x4077)};
+  Hot hot{&engine, hashes.data(), kPeriod * kImbEpochs, Rng(0x4077)};
   engine.shard(0).schedule_at(1, [&hot] { hot.fire(); });
   std::vector<Cold> colds;
   colds.reserve(kShards - 1);
   for (std::size_t s = 1; s < kShards; ++s) {
     colds.push_back(Cold{&engine, hashes.data(), s,
-                         static_cast<SimTime>(100 + s * 3), kBurst, kEpochs,
-                         Rng(0xC01D + s)});
+                         static_cast<SimTime>(100 + s * 3), kImbBurst,
+                         kImbEpochs, Rng(0xC01D + s)});
   }
   for (auto& c : colds) {
     Cold* self = &c;
@@ -471,26 +468,18 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // --- imbalanced topology: adaptive lookahead vs fixed windows -----------
-  // 1 hot shard + 63 periodic-burst cold shards, both window modes, run
-  // sequentially and at --sim-threads. Deterministic columns (events,
-  // rounds, shard windows, messages, hash) are identical across thread
-  // counts — enforced in-binary below — and the rounds / stall-% contrast
-  // is the adaptive engine's acceptance metric: fixed windows burn ~100
-  // all-stall barrier rounds per quiet gap, adaptive crosses each gap in
-  // one window, so the parallel run stops being barrier-bound.
-  imbalanced_mesh(WindowMode::kAdaptive, 1);  // warm-up
-  const auto fix_seq = imbalanced_mesh(WindowMode::kFixedWindow, 1);
-  const auto fix_par =
-      imbalanced_mesh(WindowMode::kFixedWindow, bench::sim_threads());
-  const auto ada_seq = imbalanced_mesh(WindowMode::kAdaptive, 1);
-  const auto ada_par =
-      imbalanced_mesh(WindowMode::kAdaptive, bench::sim_threads());
-  const bool imb_hashes_match =
-      fix_seq.hash == fix_par.hash && ada_seq.hash == ada_par.hash;
-  const double fix_speedup = fix_seq.wall_s / fix_par.wall_s;
+  // --- imbalanced topology: per-shard horizons ---------------------------
+  // 1 hot shard + 63 periodic-burst cold shards, run sequentially and at
+  // --sim-threads. Deterministic columns (events, rounds, shard windows,
+  // messages, hash) are identical across thread counts — enforced
+  // in-binary below — and the rounds count is the horizon rule's
+  // acceptance metric: the hot shard crosses each quiet gap in one window,
+  // so the run stops being barrier-bound.
+  imbalanced_mesh(1);  // warm-up
+  const auto ada_seq = imbalanced_mesh(1);
+  const auto ada_par = imbalanced_mesh(bench::sim_threads());
+  const bool imb_hashes_match = ada_seq.hash == ada_par.hash;
   const double ada_speedup = ada_seq.wall_s / ada_par.wall_s;
-  const double improvement = ada_speedup / fix_speedup;
   Table imb({"mode", "threads", "events", "rounds", "shard windows",
              "stall %", "messages", "events/sec", "hash"});
   const auto imb_row = [&imb](const char* name,
@@ -501,8 +490,6 @@ int main(int argc, char** argv) {
                  fmt_sci(static_cast<double>(r.events) / r.wall_s, 3),
                  fmt_u64(r.hash)});
   };
-  imb_row("fixed/seq", fix_seq);
-  imb_row("fixed/par", fix_par);
   imb_row("adaptive/seq", ada_seq);
   imb_row("adaptive/par", ada_par);
   bench::print_table(
@@ -510,22 +497,26 @@ int main(int argc, char** argv) {
       "imbalanced mesh, 1 hot + 63 burst-idle shards (adaptive horizons\n"
       "cross the quiet gaps in one round; hashes must match within each\n"
       "mode across thread counts):");
-  std::cout << "imbalanced speedup: fixed " << fmt_ratio(fix_speedup)
-            << ", adaptive " << fmt_ratio(ada_speedup) << " ("
-            << fmt_ratio(improvement) << " better; stall "
-            << fmt_pct(fix_seq.stall_frac()) << " -> "
+  std::cout << "imbalanced speedup: " << fmt_ratio(ada_speedup) << " (stall "
             << fmt_pct(ada_seq.stall_frac()) << ", steals "
             << fmt_u64(ada_par.steals) << ")\n\n";
   if (!imb_hashes_match) {
     std::cerr << "FATAL: imbalanced-mesh hash mismatch across thread "
-                 "counts (fixed " << fix_seq.hash << " vs " << fix_par.hash
-              << ", adaptive " << ada_seq.hash << " vs " << ada_par.hash
+                 "counts (" << ada_seq.hash << " vs " << ada_par.hash
               << ")\n";
     return 1;
   }
-  if (ada_seq.rounds * 4 >= fix_seq.rounds) {
+  // Rounds ceiling, from the scenario: a budget of one round per
+  // cold-burst event per epoch, kImbEpochs * kImbBurst = 960. Crossing a
+  // quiet gap costs the hot shard one round (a global 200 ns window needs
+  // 100), and a burst's events sit <= 5 ns apart, well inside one
+  // lookahead, so the schedule measures 612 rounds; a global window runs
+  // 5904. Exceeding the budget means horizons stopped spanning the gaps.
+  constexpr std::uint64_t kMaxImbRounds =
+      static_cast<std::uint64_t>(kImbEpochs) * kImbBurst;
+  if (ada_seq.rounds > kMaxImbRounds) {
     std::cerr << "FATAL: adaptive horizons stopped collapsing quiet gaps ("
-              << ada_seq.rounds << " rounds vs fixed " << fix_seq.rounds
+              << ada_seq.rounds << " rounds, ceiling " << kMaxImbRounds
               << ")\n";
     return 1;
   }
@@ -550,13 +541,9 @@ int main(int argc, char** argv) {
             << 100.0 * static_cast<double>(par.stalled) /
                    static_cast<double>(par.shard_windows + par.stalled)
             << ", \"sharded_steals\": " << par.steals
-            << ", \"imb_fixed_speedup\": " << fix_speedup
             << ", \"imb_adaptive_speedup\": " << ada_speedup
-            << ", \"imb_speedup_improvement\": " << improvement
-            << ", \"imb_fixed_stall_pct\": " << 100.0 * fix_seq.stall_frac()
             << ", \"imb_adaptive_stall_pct\": "
             << 100.0 * ada_seq.stall_frac()
-            << ", \"imb_rounds_fixed\": " << fix_seq.rounds
             << ", \"imb_rounds_adaptive\": " << ada_seq.rounds
             << ", \"imb_steals\": " << ada_par.steals
             << ", \"imb_hash_match\": " << (imb_hashes_match ? 1 : 0)

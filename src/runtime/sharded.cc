@@ -45,11 +45,9 @@ ShardedRuntime::ShardedRuntime(ShardedRuntimeConfig config)
   sc.lookahead = std::max<SimDuration>(internode_->min_cross_latency(0), 1);
   sc.threads = config_.threads;
   sc.mailbox_capacity = config_.mailbox_capacity;
-  sc.window_mode = config_.adaptive_windows ? WindowMode::kAdaptive
-                                            : WindowMode::kFixedWindow;
   // Per-pair lookahead straight from the interconnect: route_latency is a
   // shortest-path metric (triangle inequality holds), which is what the
-  // adaptive engine's relayed-causality argument needs, and post_task
+  // engine's relayed-causality argument needs, and post_task
   // already charges exactly this latency, so the per-pair post contract is
   // met with zero slack. The LCA walk is mutation-free (implicit routing
   // is ECO_CHECKed above), so shard threads may query it concurrently.
@@ -73,7 +71,6 @@ ShardedRuntime::ShardedRuntime(ShardedRuntimeConfig config)
     mc.workers_per_node = config_.workers_per_node;
     slot.machine = std::make_unique<Machine>(mc);
     RuntimeConfig rc = config_.runtime;
-    rc.seed = config_.runtime.seed + node;  // decorrelate per-node streams
     for (const ShardedRuntimeConfig::NodeOutage& outage :
          config_.node_outages) {
       if (outage.node != node) continue;

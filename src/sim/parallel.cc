@@ -239,24 +239,15 @@ void ShardedSimulator::post_message(std::size_t from, std::size_t to,
                 "post() called outside a running shard action");
   ECO_CHECK_MSG(tls_run_context.shard == from,
                 "post() `from` must be the shard executing this action");
-  SimDuration bound = pair_lookahead(from, to);
-  if (config_.window_mode == WindowMode::kFixedWindow) {
-    // Fixed horizons are uniform-lookahead wide whatever the pair's own
-    // distance, so the uniform contract must hold as well.
-    bound = std::max(bound, config_.lookahead);
-  }
-  ECO_CHECK_MSG(t >= shards_[from]->sim.now() + bound,
+  ECO_CHECK_MSG(t >= shards_[from]->sim.now() + pair_lookahead(from, to),
                 "cross-shard event inside the conservative lookahead window");
   Shard& src = *shards_[from];
-  if (config_.window_mode == WindowMode::kAdaptive) {
-    // Self-chain echo cap (parallel.h file comment): any causal chain
-    // seeded by this message returns to `from` no earlier than
-    // t + dest_floor(from) — the return chain's last leg alone costs at
-    // least the cheapest latency into `from` — so the posting shard's
-    // window must stop before that time. kFixedWindow needs no cap: there
-    // t >= now + lookahead >= the global window end already.
-    src.sim.tighten_run_bound(t + dest_floor_[from]);
-  }
+  // Self-chain echo cap (parallel.h file comment): any causal chain seeded
+  // by this message returns to `from` no earlier than t + dest_floor(from)
+  // — the return chain's last leg alone costs at least the cheapest
+  // latency into `from` — so the posting shard's window must stop before
+  // that time.
+  src.sim.tighten_run_bound(t + dest_floor_[from]);
   tls_run_context.lane->push(t, static_cast<std::uint32_t>(from),
                              static_cast<std::uint32_t>(to), src.post_seq++,
                              std::move(action));
@@ -286,19 +277,14 @@ void ShardedSimulator::rethrow_shard_error() {
 }
 
 SimTime ShardedSimulator::shard_horizon(std::size_t d) const {
-  // Every mode's horizon is clamped to the run_until() bound: events at or
-  // after it belong to the next segment. The clamp keeps the horizon a
-  // pure function of published state, so determinism is unaffected.
-  switch (config_.window_mode) {
-    case WindowMode::kFixedWindow:
-      return std::min(plan_fixed_end_, run_bound_);
-    case WindowMode::kAdaptive:
-      break;
-  }
-  // Both adaptive paths bound d by its *peers'* pending work only: at the
-  // round start no chain originating on d has been seeded yet, and the
-  // moment one is (d posts during its window) the echo cap in
-  // post_message() tightens the running window — see parallel.h.
+  // The horizon is clamped to the run_until() bound: events at or after it
+  // belong to the next segment. The clamp keeps the horizon a pure
+  // function of published state, so determinism is unaffected.
+  //
+  // Both paths bound d by its *peers'* pending work only: at the round
+  // start no chain originating on d has been seeded yet, and the moment
+  // one is (d posts during its window) the echo cap in post_message()
+  // tightens the running window — see parallel.h.
   if (!pair_matrix_.empty()) {
     // Exact column minimum over the dense pair matrix: the earliest any
     // peer's pending work could reach d.
@@ -418,8 +404,6 @@ void ShardedSimulator::plan_round() {
     done_.store(true, std::memory_order_relaxed);
     return;
   }
-  plan_floor_ = floor;
-  plan_fixed_end_ = floor + config_.lookahead;
   plan_src1_ = src1;
   plan_src2_ = src2;
   plan_src_arg_ = src_arg;

@@ -8,28 +8,22 @@
 // ShardedSimulator gives every Compute Node (or any caller-chosen
 // partition) its own event queue (a full `Simulator` with its slab, 4-ary
 // heap and sorted-run backlog) and advances the shards concurrently inside
-// synchronization rounds. Two window policies (WindowMode):
+// synchronization rounds. Every round gives each shard d its own horizon
 //
-//   kFixedWindow   every shard runs to the same global horizon
-//                      end = T + L,  T = min next event over all shards,
-//                                    L = uniform lookahead
-//                  — the PR-5 engine, kept as the baseline-locked mode.
+//     end_d = min over s != d of next_s + L(s, d)
 //
-//   kAdaptive      each shard d starts its round with the horizon
-//                      end_d = min over s != d of next_s + L(s, d)
-//                  where L(s, d) is a per-pair latency oracle (defaulting
-//                  to the uniform lookahead), and the bound is *tightened
-//                  while the window runs*: the moment d posts a message
-//                  with delivery time t, its window is capped at
-//                  t + dest_floor(d), dest_floor(d) = min over b != d of
-//                  L(b, d) — the self-chain echo cap. Loosely-coupled
-//                  shards run long windows while tightly-coupled ones
-//                  stay conservative, and every shard (including self)
-//                  contributes to its own bound the moment it can matter.
+// where next_s is shard s's next pending event and L(s, d) a per-pair
+// latency oracle (defaulting to the uniform lookahead). The bound is
+// *tightened while the window runs*: the moment d posts a message with
+// delivery time t, its window is capped at t + dest_floor(d),
+// dest_floor(d) = min over b != d of L(b, d) — the self-chain echo cap.
+// Loosely-coupled shards run long windows while tightly-coupled ones stay
+// conservative, and every shard (including self) contributes to its own
+// bound the moment it can matter.
 //
-// Conservative correctness of the adaptive bound, with a triangle-
-// inequality oracle (any route/shortest-path latency is one — every
-// cross-shard leg of a causal chain pays at least its pair latency):
+// Conservative correctness of the horizon, with a triangle-inequality
+// oracle (any route/shortest-path latency is one — every cross-shard leg
+// of a causal chain pays at least its pair latency):
 //
 //   * Chains starting on a peer: any future event on d seeded by a
 //     currently-pending event on a shard s != d (time >= next_s) reaches
@@ -73,11 +67,8 @@
 // are computed only from the published next-event times (deterministic
 // simulation state), so the window schedule itself is thread-count
 // invariant and a run with `threads = N` is byte-identical to
-// `threads = 1` within a given WindowMode. Only lane *spill counts* and
-// the *steal count* — wall-clock-side metrics — vary with the thread
-// count. The two modes execute different (both deterministic) window
-// schedules and may diverge on simultaneous-event tie-breaks, which is why
-// baseline-locked benches pin kFixedWindow.
+// `threads = 1`. Only lane *spill counts* and the *steal count* —
+// wall-clock-side metrics — vary with the thread count.
 #pragma once
 
 #include <atomic>
@@ -101,26 +92,13 @@ namespace ecoscale {
 /// don't pull in <barrier>). Null gate = sequential run, no waiting.
 class RoundGate;
 
-/// How the engine computes each shard's per-round execution horizon.
-enum class WindowMode {
-  /// Per-shard horizons from the per-pair latency oracle (see file
-  /// comment). The default: strictly more progress per round on
-  /// imbalanced topologies, deterministic across thread counts.
-  kAdaptive,
-  /// One global horizon `min next event + lookahead` for every shard —
-  /// the PR-5 window schedule, byte-identical to the engine before
-  /// adaptive windows existed. Committed bench baselines pin this mode.
-  kFixedWindow,
-};
-
 struct ShardedConfig {
   /// Number of event-queue shards (typically one per Compute Node).
   std::size_t shards = 1;
   /// Conservative uniform lookahead: a lower bound on the sim-time
   /// distance of *any* cross-shard interaction. Derive it from the
   /// interconnect (Network::min_cross_latency / PgasSystem::
-  /// shard_lookahead). Used directly by kFixedWindow and as the
-  /// default pair latency when no oracle is given.
+  /// shard_lookahead). The default pair latency when no oracle is given.
   SimDuration lookahead = nanoseconds(100);
   /// Worker threads; 0 picks std::thread::hardware_concurrency(). The
   /// thread count never changes simulation results, only wall-clock time.
@@ -128,15 +106,14 @@ struct ShardedConfig {
   /// Ring capacity of each per-thread lane; bursts beyond it spill to a
   /// producer-owned overflow vector (correct but allocating).
   std::size_t mailbox_capacity = 1024;
-  WindowMode window_mode = WindowMode::kAdaptive;
   /// Optional per-pair latency oracle L(from, to), e.g. a captured
   /// Network::route_latency. Must be >= 1 for every pair and satisfy the
   /// triangle inequality L(a, c) <= L(a, b) + L(b, c) — true for any
   /// route/shortest-path latency (both strided and seeded-random triples
   /// are checked at construction, so a locally non-metric oracle fails
   /// loudly instead of yielding an unsafe horizon). Tightens both the
-  /// adaptive horizons and the post() contract. Unset: the uniform
-  /// `lookahead` stands in for every pair.
+  /// horizons and the post() contract. Unset: the uniform `lookahead`
+  /// stands in for every pair.
   std::function<SimDuration(std::size_t from, std::size_t to)> pair_lookahead;
   /// Optional per-source floor min over d != s of L(s, d) (e.g.
   /// Network::min_latency_from). Only consulted when `pair_lookahead` is
@@ -160,7 +137,6 @@ class ShardedSimulator {
 
   std::size_t shard_count() const { return shards_.size(); }
   SimDuration lookahead() const { return config_.lookahead; }
-  WindowMode window_mode() const { return config_.window_mode; }
   /// Threads the window loop will actually use (clamped to shard count).
   std::size_t threads_used() const { return threads_; }
   /// The conservative latency bound post() enforces for this pair — the
@@ -179,9 +155,9 @@ class ShardedSimulator {
   /// Deliver `action` on shard `to` at absolute time `t`, called from
   /// inside an action currently executing on shard `from`. Requires
   /// t >= now(from) + pair_lookahead(from, to) — the conservative contract
-  /// that keeps windows race-free (kFixedWindow additionally requires the
-  /// uniform lookahead). Messages become destination events at the next
-  /// round boundary, merged canonically by (time, source shard, seq).
+  /// that keeps windows race-free. Messages become destination events at
+  /// the next round boundary, merged canonically by (time, source shard,
+  /// seq).
   template <typename F>
   void post(std::size_t from, std::size_t to, SimTime t, F&& action) {
     post_message(from, to, t, InlineAction(std::forward<F>(action)));
@@ -198,7 +174,7 @@ class ShardedSimulator {
   /// any shard's deterministic state and schedule new events (including at
   /// times >= bound) before resuming — the epoch pause the runtime
   /// repartitioner is built on (DESIGN.md §7.11). Horizons are the normal
-  /// WindowMode horizons clamped to `bound`, still a pure function of the
+  /// per-shard horizons clamped to `bound`, still a pure function of the
   /// published next-event times, so the window schedule (and therefore the
   /// simulation) stays byte-identical at any thread count.
   bool run_until(SimTime bound);
@@ -319,7 +295,7 @@ class ShardedSimulator {
   /// its shards' next-event times, rebuild its ready queue and partials.
   void insert_and_fold(std::size_t tid, std::size_t total);
   void fold_range(std::size_t tid);
-  /// The per-shard execution horizon for this round (see WindowMode).
+  /// The per-shard execution horizon for this round (see file comment).
   SimTime shard_horizon(std::size_t d) const;
   /// One worker's whole round loop; `gate` is null in sequential runs and
   /// `failure` non-null only on parallel worker 0 (plan_round may throw).
@@ -347,8 +323,6 @@ class ShardedSimulator {
 
   // Round plan, published by worker 0 and read by all workers after the
   // plan barrier (plain fields; the barrier provides the happens-before).
-  SimTime plan_floor_ = 0;       // min next event over all shards
-  SimTime plan_fixed_end_ = 0;   // kFixedWindow horizon
   SimTime plan_src1_ = kNever;   // top-2 of next_s + source_floor_[s]
   SimTime plan_src2_ = kNever;
   std::uint32_t plan_src_arg_ = 0;

@@ -1,6 +1,6 @@
 // Tests for the extension substrates: PGAS atomics, PA regression,
 // streaming PCA, pre-emptive hardware execution / accelerator migration,
-// the reconfiguration daemon, and resilience with failure injection.
+// and the reconfiguration daemon.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -10,7 +10,6 @@
 #include "model/pca.h"
 #include "model/svr.h"
 #include "runtime/daemon.h"
-#include "runtime/resilience.h"
 #include "unimem/pgas.h"
 #include "worker/preemption.h"
 
@@ -313,83 +312,6 @@ TEST(Daemon, ScoresDecay) {
   daemon.tick(1);
   daemon.tick(2);
   EXPECT_LT(daemon.score(m.kernel), s0);
-}
-
-// --- resilience ----------------------------------------------------------------------
-
-std::vector<ResilientTask> make_tasks(std::size_t n, SimDuration d) {
-  std::vector<ResilientTask> tasks(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    tasks[i].id = i;
-    tasks[i].duration = d;
-  }
-  return tasks;
-}
-
-TEST(Resilience, NoFailuresAllComplete) {
-  ResilienceConfig cfg;
-  cfg.failures_per_second = 0.0;
-  const auto out = run_with_failures(make_tasks(32, microseconds(100)), cfg);
-  EXPECT_EQ(out.completed, 32u);
-  EXPECT_EQ(out.failures, 0u);
-  EXPECT_DOUBLE_EQ(out.wasted_energy, 0.0);
-}
-
-TEST(Resilience, ReexecutionCompletesEverythingDespiteFailures) {
-  ResilienceConfig cfg;
-  cfg.failures_per_second = 2000.0;  // aggressive, scaled for ms-runs
-  cfg.reexecute = true;
-  const auto out = run_with_failures(make_tasks(64, microseconds(200)), cfg);
-  EXPECT_EQ(out.completed, 64u);
-  EXPECT_EQ(out.lost, 0u);
-  EXPECT_GT(out.failures, 0u);
-  EXPECT_EQ(out.reexecutions, out.failures);
-  EXPECT_GT(out.wasted_energy, 0.0);
-}
-
-TEST(Resilience, WithoutReexecutionWorkIsLost) {
-  ResilienceConfig cfg;
-  cfg.failures_per_second = 2000.0;
-  cfg.reexecute = false;
-  cfg.seed = 7;
-  const auto out = run_with_failures(make_tasks(64, microseconds(200)), cfg);
-  EXPECT_GT(out.lost, 0u);
-  EXPECT_EQ(out.completed + out.lost, 64u);
-}
-
-TEST(Resilience, FailureFreeRunsAreFasterThanFailingOnes) {
-  ResilienceConfig clean;
-  clean.failures_per_second = 0.0;
-  ResilienceConfig faulty;
-  faulty.failures_per_second = 3000.0;
-  const auto tasks = make_tasks(48, microseconds(150));
-  const auto a = run_with_failures(tasks, clean);
-  const auto b = run_with_failures(tasks, faulty);
-  EXPECT_LT(a.makespan, b.makespan);
-}
-
-TEST(Scrubbing, PeriodicBoundsCorruptionWindow) {
-  const SimTime horizon = milliseconds(100);
-  const auto none = scrubbing_policy(
-      /*scrub_period=*/0, /*seu_per_second=*/200.0, 2000, horizon,
-      microseconds(160), 42);
-  const auto slow = scrubbing_policy(milliseconds(5), 200.0, 2000, horizon,
-                                     microseconds(160), 42);
-  const auto fast = scrubbing_policy(microseconds(500), 200.0, 2000,
-                                     horizon, microseconds(160), 42);
-  // Scrubbing strictly reduces silent corruption; faster scrubbing more so.
-  EXPECT_LT(slow.corrupted_calls, none.corrupted_calls);
-  EXPECT_LT(fast.corrupted_calls, slow.corrupted_calls);
-  // Overhead is the price, growing with scrub frequency.
-  EXPECT_GT(fast.overhead, slow.overhead);
-  EXPECT_EQ(none.overhead, 0u);
-}
-
-TEST(Scrubbing, NoSeusNoCorruption) {
-  const auto out = scrubbing_policy(0, 0.0, 100, milliseconds(10),
-                                    microseconds(100), 1);
-  EXPECT_EQ(out.corrupted_calls, 0u);
-  EXPECT_DOUBLE_EQ(out.corrupted_fraction, 0.0);
 }
 
 }  // namespace

@@ -1,8 +1,6 @@
 // End-to-end fault injection & recovery: the live FaultInjector path
-// (worker crashes, node loss, UNIMEM page failover, UNILOGIC dead-fabric
-// fallback) plus deterministic regressions for the fixed analytic model
-// (re-execution causality, lazy failure sampling) and the legacy
-// failures_per_second path (wasted-energy accounting).
+// (worker crashes, node loss, fabric SEUs, UNIMEM page failover, UNILOGIC
+// dead-fabric fallback).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,7 +9,6 @@
 
 #include "hls/dse.h"
 #include "obs/trace.h"
-#include "runtime/resilience.h"
 #include "runtime/scheduler.h"
 
 namespace ecoscale {
@@ -20,8 +17,7 @@ namespace {
 // --- live runtime rig -------------------------------------------------------
 
 struct LiveRig {
-  explicit LiveRig(const FaultConfig& faults,
-                   double legacy_failures_per_second = 0.0) {
+  explicit LiveRig(const FaultConfig& faults) {
     MachineConfig mc;
     mc.nodes = 2;
     mc.workers_per_node = 4;
@@ -31,7 +27,6 @@ struct LiveRig {
     rc.placement = PlacementPolicy::kModelBased;
     rc.distribution = DistributionPolicy::kLazyLocal;
     rc.faults = faults;
-    rc.failures_per_second = legacy_failures_per_second;
     runtime = std::make_unique<RuntimeSystem>(*machine, *sim, rc);
     kernel = make_montecarlo_kernel();
     runtime->register_kernel(kernel, emit_variants(kernel, 2));
@@ -76,8 +71,12 @@ TEST(ResilienceLive, CrashRecoveryCompletesAllTasks) {
   EXPECT_GT(rig.runtime->faults()->crashes(), 0u);
   EXPECT_GT(stats.worker_failures, 0u);
   EXPECT_GT(stats.reexecutions, 0u);
-  // Destroyed in-flight progress is priced, not silently dropped.
+  // Destroyed in-flight progress is priced, not silently dropped...
   EXPECT_GT(stats.wasted_energy, 0.0);
+  // ...and a fault-free run wastes nothing.
+  LiveRig clean{FaultConfig{}};
+  clean.run(64);
+  EXPECT_EQ(clean.runtime->stats().wasted_energy, 0.0);
 }
 
 TEST(ResilienceLive, DetectionRespectsHeartbeatTimeout) {
@@ -124,6 +123,34 @@ TEST(ResilienceLive, NodeLossFailsOverToSurvivors) {
   EXPECT_TRUE(rig.machine->health().node_up(0));
   // All four lost workers are eventually declared dead.
   EXPECT_EQ(stats.detections, 4u);
+}
+
+FaultConfig seu_faults(double rate) {
+  FaultConfig fc;
+  fc.enabled = true;
+  fc.seu_per_second = rate;
+  return fc;
+}
+
+std::uint64_t fabric_loads(Machine& machine) {
+  std::uint64_t loads = 0;
+  for (std::size_t w = 0; w < machine.worker_count(); ++w) {
+    loads += machine.worker(w).fabric().loads();
+  }
+  return loads;
+}
+
+TEST(ResilienceLive, SeusForceReconfigurationWithoutLosingTasks) {
+  LiveRig off(seu_faults(0.0));
+  off.run(64);
+  EXPECT_EQ(off.runtime->faults()->seu_hits(), 0u);
+  LiveRig on(seu_faults(50000.0));
+  on.run(64);
+  EXPECT_GT(on.runtime->faults()->seu_hits(), 0u);
+  EXPECT_EQ(on.runtime->results().size(), 64u);
+  // An upset unloads an idle module, so its next call pays a full
+  // reconfiguration that the same-seed SEU-free run never did.
+  EXPECT_GT(fabric_loads(*on.machine), fabric_loads(*off.machine));
 }
 
 TEST(ResilienceLive, ScriptedCrashFiresAtExactTimeThenRepairs) {
@@ -289,84 +316,6 @@ TEST(PoolFault, DeadFabricTimesOutBlacklistsAndFallsBackLocal) {
   EXPECT_EQ(pool.failed_remote_attempts(), 2u);  // max attempts per call
   EXPECT_EQ(pool.local_fallbacks(), 1u);
   EXPECT_EQ(machine.health().blacklists(), 2u);
-}
-
-// --- analytic model regressions ---------------------------------------------
-
-TEST(AnalyticResilience, ReexecutionStartsAfterDetectionPoint) {
-  // Several idle-ish workers: before the fix, a re-queued crashed task
-  // could restart on a free worker *before* its crash was detectable.
-  std::vector<ResilientTask> tasks;
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    tasks.push_back({i, milliseconds(1), 100.0});
-  }
-  ResilienceConfig cfg;
-  cfg.workers = 4;
-  cfg.failures_per_second = 2000.0;
-  cfg.detect_timeout = microseconds(500);
-  cfg.repair_time = microseconds(100);
-  cfg.seed = 7;
-  const auto out = run_with_failures(tasks, cfg);
-  EXPECT_EQ(out.completed, tasks.size());
-  ASSERT_GT(out.reexecutions, 0u);
-  EXPECT_GT(out.first_crash, 0u);
-  EXPECT_GE(out.earliest_reexec_start, out.first_crash + cfg.detect_timeout);
-}
-
-TEST(AnalyticResilience, LongCrashChainsOutliveOldSamplingHorizon) {
-  // One worker, brutal crash rate: the crash/repair chain runs far past
-  // 4x the serial time. The old implementation pre-sampled failures only
-  // to that horizon (and ECO_CHECKed against passing it); lazy per-worker
-  // sampling keeps injecting for as long as the run actually takes.
-  std::vector<ResilientTask> tasks;
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    tasks.push_back({i, microseconds(200), 100.0});
-  }
-  ResilienceConfig cfg;
-  cfg.workers = 1;
-  cfg.failures_per_second = 10000.0;
-  cfg.seed = 3;
-  const auto out = run_with_failures(tasks, cfg);
-  EXPECT_EQ(out.completed, 4u);
-  const SimDuration serial = 4 * microseconds(200);
-  const SimTime old_horizon = 4 * serial + milliseconds(10);
-  EXPECT_GT(out.makespan, old_horizon);
-  EXPECT_GT(out.last_crash, static_cast<SimTime>(serial));
-}
-
-TEST(AnalyticResilience, CleanRunMatchesSerialSchedule) {
-  std::vector<ResilientTask> tasks;
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    tasks.push_back({i, microseconds(100), 100.0});
-  }
-  ResilienceConfig cfg;
-  cfg.workers = 2;
-  cfg.failures_per_second = 0.0;
-  const auto out = run_with_failures(tasks, cfg);
-  EXPECT_EQ(out.completed, 8u);
-  EXPECT_EQ(out.failures, 0u);
-  EXPECT_EQ(out.makespan, static_cast<SimTime>(4 * microseconds(100)));
-  EXPECT_EQ(out.first_crash, 0u);
-  EXPECT_EQ(out.earliest_reexec_start, 0u);
-}
-
-// --- legacy failures_per_second path ----------------------------------------
-
-TEST(LegacyFailures, CrashedAttemptsChargeWastedEnergy) {
-  FaultConfig off;
-  LiveRig rig(off, /*legacy_failures_per_second=*/3000.0);
-  rig.run(48);
-  const auto stats = rig.runtime->stats();
-  EXPECT_EQ(rig.runtime->results().size(), 48u);
-  ASSERT_GT(stats.worker_failures, 0u);
-  EXPECT_GT(stats.wasted_energy, 0.0);
-}
-
-TEST(LegacyFailures, CleanRunWastesNothing) {
-  FaultConfig off;
-  LiveRig rig(off, /*legacy_failures_per_second=*/0.0);
-  rig.run(16);
-  EXPECT_EQ(rig.runtime->stats().wasted_energy, 0.0);
 }
 
 }  // namespace
