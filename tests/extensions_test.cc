@@ -1,6 +1,6 @@
 // Tests for the extension substrates: PGAS atomics, PA regression,
 // streaming PCA, pre-emptive hardware execution / accelerator migration,
-// and the reconfiguration daemon.
+// the reconfiguration daemon, and resilience under live fault injection.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -10,6 +10,7 @@
 #include "model/pca.h"
 #include "model/svr.h"
 #include "runtime/daemon.h"
+#include "runtime/scheduler.h"
 #include "unimem/pgas.h"
 #include "worker/preemption.h"
 
@@ -312,6 +313,96 @@ TEST(Daemon, ScoresDecay) {
   daemon.tick(1);
   daemon.tick(2);
   EXPECT_LT(daemon.score(m.kernel), s0);
+}
+
+// --- resilience -------------------------------------------------------------
+
+struct FaultyRun {
+  std::size_t completed = 0;
+  RuntimeStats stats;
+  std::uint64_t seu_hits = 0;
+  std::uint64_t fabric_loads = 0;
+};
+
+/// `n` equal tasks spread over a 2x2 machine under `faults`, run to
+/// completion. Hardware placement keeps the fabrics busy so SEUs have
+/// resident modules to upset.
+FaultyRun run_with_faults(std::size_t n, const FaultConfig& faults) {
+  MachineConfig mc;
+  mc.nodes = 2;
+  mc.workers_per_node = 2;
+  Machine machine(mc);
+  Simulator sim;
+  RuntimeConfig rc;
+  rc.placement = PlacementPolicy::kAlwaysHardware;
+  rc.faults = faults;
+  RuntimeSystem runtime(machine, sim, rc);
+  const auto kernel = make_montecarlo_kernel();
+  runtime.register_kernel(kernel, emit_variants(kernel, 1));
+  for (TaskId i = 0; i < n; ++i) {
+    Task t;
+    t.id = i;
+    t.kernel = kernel.id;
+    t.items = 100000;
+    t.features.items = 100000;
+    t.home = {static_cast<NodeId>(i % 2), static_cast<WorkerId>((i / 2) % 2)};
+    t.release = microseconds(20 * i);
+    runtime.submit(t);
+  }
+  runtime.run();
+  FaultyRun out;
+  out.completed = runtime.results().size();
+  out.stats = runtime.stats();
+  if (runtime.faults() != nullptr) out.seu_hits = runtime.faults()->seu_hits();
+  for (std::size_t w = 0; w < machine.worker_count(); ++w) {
+    out.fabric_loads += machine.worker(w).fabric().loads();
+  }
+  return out;
+}
+
+FaultConfig crashing(double rate) {
+  FaultConfig fc;
+  fc.enabled = true;
+  fc.worker_crash_per_second = rate;
+  fc.repair_time = microseconds(300);
+  return fc;
+}
+
+TEST(Resilience, NoFailuresAllComplete) {
+  const auto out = run_with_faults(32, crashing(0.0));
+  EXPECT_EQ(out.completed, 32u);
+  EXPECT_EQ(out.stats.worker_failures, 0u);
+  EXPECT_EQ(out.stats.detections, 0u);
+  EXPECT_DOUBLE_EQ(out.stats.wasted_energy, 0.0);
+}
+
+TEST(Resilience, ReexecutionCompletesEverythingDespiteFailures) {
+  const auto out = run_with_faults(64, crashing(2000.0));
+  EXPECT_EQ(out.completed, 64u);
+  EXPECT_GT(out.stats.worker_failures, 0u);
+  EXPECT_EQ(out.stats.reexecutions, out.stats.worker_failures);
+  EXPECT_GT(out.stats.wasted_energy, 0.0);
+}
+
+TEST(Resilience, FailureFreeRunsAreFasterThanFailingOnes) {
+  const auto clean = run_with_faults(48, crashing(0.0));
+  const auto faulty = run_with_faults(48, crashing(3000.0));
+  ASSERT_GT(faulty.stats.worker_failures, 0u);
+  EXPECT_LT(clean.stats.makespan, faulty.stats.makespan);
+}
+
+TEST(Scrubbing, NoSeusNoCorruption) {
+  FaultConfig quiet;
+  quiet.enabled = true;
+  quiet.seu_per_second = 0.0;
+  const auto out = run_with_faults(32, quiet);
+  const auto reference = run_with_faults(32, FaultConfig{});
+  EXPECT_EQ(out.seu_hits, 0u);
+  ASSERT_GT(reference.fabric_loads, 0u);
+  // No upset unloaded a module, so no call paid a reconfiguration the
+  // injector-free run did not.
+  EXPECT_EQ(out.fabric_loads, reference.fabric_loads);
+  EXPECT_EQ(out.stats.makespan, reference.stats.makespan);
 }
 
 }  // namespace

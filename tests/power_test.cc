@@ -129,6 +129,39 @@ TEST(RuntimeDaemon, EnabledRuntimePrefetches) {
   EXPECT_GT(runtime.daemon(0)->score(kernel.id), 0.0);
 }
 
+TEST(RuntimeFailures, AllTasksCompleteDespiteCrashes) {
+  MachineConfig mc;
+  mc.nodes = 2;
+  mc.workers_per_node = 2;
+  Machine machine(mc);
+  Simulator sim;
+  RuntimeConfig rc;
+  rc.placement = PlacementPolicy::kAlwaysSoftware;
+  rc.faults.enabled = true;
+  rc.faults.worker_crash_per_second = 3000.0;  // scaled for ms-long runs
+  rc.faults.repair_time = microseconds(500);
+  RuntimeSystem runtime(machine, sim, rc);
+  const auto kernel = make_cart_split_kernel();
+  runtime.register_kernel(kernel, emit_variants(kernel, 1));
+  constexpr int kTasks = 40;
+  for (TaskId i = 0; i < kTasks; ++i) {
+    Task t;
+    t.id = i;
+    t.kernel = kernel.id;
+    t.items = 40000;
+    t.features.items = 40000;
+    t.home = {static_cast<NodeId>(i % 2), static_cast<WorkerId>(i % 2)};
+    t.release = microseconds(10 * i);
+    runtime.submit(t);
+  }
+  runtime.run();
+  const auto s = runtime.stats();
+  EXPECT_EQ(runtime.results().size(), static_cast<std::size_t>(kTasks));
+  EXPECT_GT(s.worker_failures, 0u);
+  // Every destroyed attempt runs again, on repair or after detection.
+  EXPECT_EQ(s.worker_failures, s.reexecutions);
+}
+
 TEST(RuntimeFailures, ZeroRateMeansZeroFailures) {
   MachineConfig mc;
   mc.nodes = 1;

@@ -1,11 +1,15 @@
 // End-to-end fault injection & recovery: the live FaultInjector path
-// (worker crashes, node loss, fabric SEUs, UNIMEM page failover, UNILOGIC
-// dead-fabric fallback).
+// (worker crashes, node loss, link degradation, fabric SEUs, UNIMEM page
+// failover, UNILOGIC dead-fabric fallback), plus closed-form bounds on
+// re-execution and wasted-energy accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "hls/dse.h"
 #include "obs/trace.h"
@@ -220,6 +224,70 @@ TEST(ResilienceLive, ScriptedPermanentCrashNeverRepairs) {
   EXPECT_TRUE(machine.health().node_up(0));
 }
 
+TEST(ResilienceLive, NodeLossCancelsAPendingRepair) {
+  // A crashed worker whose node is lost before its repair lands must stay
+  // down: the repair belongs to the crash, not to the node loss.
+  MachineConfig mc;
+  mc.nodes = 2;
+  mc.workers_per_node = 2;
+  Machine machine(mc);
+  Simulator sim;
+  FaultConfig fc;
+  fc.enabled = true;
+  fc.scripted_crashes.push_back(
+      {/*worker=*/2, /*at=*/microseconds(5), /*permanent=*/false,
+       /*repair_after=*/microseconds(10)});
+  fc.node_losses.push_back({/*node=*/1, /*at=*/microseconds(8)});
+  std::vector<std::size_t> downs;
+  bool repaired = false;
+  FaultInjector::Callbacks cb;
+  cb.on_worker_down = [&](std::size_t w, SimTime) { downs.push_back(w); };
+  cb.on_worker_up = [&](std::size_t, SimTime) { repaired = true; };
+  cb.active = [] { return true; };
+  FaultInjector inj(sim, machine, fc, cb);
+  inj.arm();
+  sim.run();
+  // Worker 2 went down once (the crash); the node loss only took down its
+  // sibling and made worker 2's outage permanent.
+  EXPECT_EQ(downs, (std::vector<std::size_t>{2, 3}));
+  EXPECT_FALSE(repaired);
+  EXPECT_FALSE(machine.health().up(2));
+  EXPECT_FALSE(machine.health().node_up(1));
+  EXPECT_TRUE(machine.health().node_up(0));
+  EXPECT_EQ(inj.crashes(), 1u);
+  EXPECT_EQ(inj.node_losses(), 1u);
+}
+
+TEST(ResilienceLive, LinkDegradationWindowRestoresBandwidth) {
+  MachineConfig mc;
+  mc.nodes = 2;
+  mc.workers_per_node = 2;
+  Machine machine(mc);
+  Simulator sim;
+  FaultConfig fc;
+  fc.enabled = true;
+  fc.link_degrades.push_back({/*level=*/1, /*at=*/microseconds(10),
+                              /*duration=*/microseconds(20),
+                              /*factor=*/4.0});
+  FaultInjector::Callbacks cb;
+  cb.active = [] { return true; };
+  FaultInjector inj(sim, machine, fc, cb);
+  inj.arm();
+  auto& net = machine.pgas().network();
+  std::vector<double> seen;
+  for (const SimTime probe :
+       {microseconds(5), microseconds(20), microseconds(40)}) {
+    sim.schedule_at(probe, [&] {
+      seen.push_back(net.level_degradation(1));
+      EXPECT_EQ(net.level_degradation(0), 1.0);  // other levels untouched
+    });
+  }
+  sim.run();
+  EXPECT_EQ(seen, (std::vector<double>{1.0, 4.0, 1.0}));
+  EXPECT_EQ(inj.link_faults(), 1u);
+  EXPECT_EQ(inj.crashes(), 0u);
+}
+
 #if !defined(ECO_TRACE_DISABLED)
 
 std::size_t count_occurrences(const std::string& hay,
@@ -260,6 +328,149 @@ TEST(ResilienceLive, TraceFaultLifecycleIsBalanced) {
 }
 
 #endif  // !ECO_TRACE_DISABLED
+
+// --- closed-form bounds on the live path ------------------------------------
+
+/// Identical software-only tasks, all released at 0, spread round-robin
+/// over `workers` workers of one node: the schedule is computable by hand.
+struct SerialRig {
+  SerialRig(std::size_t workers, const FaultConfig& faults) {
+    MachineConfig mc;
+    mc.nodes = 1;
+    mc.workers_per_node = workers;
+    machine = std::make_unique<Machine>(mc);
+    sim = std::make_unique<Simulator>();
+    RuntimeConfig rc;
+    rc.placement = PlacementPolicy::kAlwaysSoftware;
+    rc.distribution = DistributionPolicy::kHomeOnly;
+    rc.faults = faults;
+    runtime = std::make_unique<RuntimeSystem>(*machine, *sim, rc);
+    kernel = make_cart_split_kernel();
+    runtime->register_kernel(kernel, emit_variants(kernel, 1));
+  }
+
+  void run(std::size_t n) {
+    for (TaskId i = 0; i < n; ++i) {
+      Task t;
+      t.id = i;
+      t.kernel = kernel.id;
+      t.items = 40000;
+      t.features.items = 40000;
+      t.home = WorkerCoord{0, static_cast<WorkerId>(
+                                  i % machine->workers_per_node())};
+      runtime->submit(t);
+    }
+    runtime->run();
+  }
+
+  std::unique_ptr<Machine> machine;
+  std::unique_ptr<Simulator> sim;
+  std::unique_ptr<RuntimeSystem> runtime;
+  KernelIR kernel;
+};
+
+TEST(AnalyticResilience, ReexecutionStartsAfterDetectionPoint) {
+  // Survivors are idle often enough that a victim could restart at once
+  // if the runtime peeked at the health registry; its final attempt must
+  // still start no earlier than the heartbeat monitor could have known.
+  FaultConfig fc = crash_faults(2000.0);
+  fc.detect_timeout = microseconds(500);
+  fc.repair_time = milliseconds(5);  // detection, not repair, recovers
+  LiveRig rig(fc);
+  rig.run(64);
+  std::map<TaskId, SimTime> started;
+  for (const auto& r : rig.runtime->results()) started[r.id] = r.started;
+  const auto& log = rig.runtime->recovery_log();
+  ASSERT_FALSE(log.empty());
+  for (const auto& rec : log) {
+    EXPECT_GE(started.at(rec.task), rec.crash_at + fc.detect_timeout);
+  }
+}
+
+TEST(AnalyticResilience, LongCrashChainsOutliveOldSamplingHorizon) {
+  // Two workers, a crash rate of two per task duration: the crash/repair
+  // chain runs far past 4x the serial time. Crash chains re-arm lazily
+  // for as long as work is pending, so injection continues past any
+  // horizon fixed before the run.
+  SerialRig clean(2, FaultConfig{});
+  clean.run(8);
+  const SimTime serial = clean.runtime->stats().makespan;
+  const SimDuration task = serial / 4;
+  FaultConfig fc;
+  fc.enabled = true;
+  fc.worker_crash_per_second = 2.0 / to_seconds(task);
+  SerialRig rig(2, fc);
+  rig.run(8);
+  EXPECT_EQ(rig.runtime->results().size(), 8u);
+  const SimTime horizon = 4 * serial + milliseconds(10);
+  EXPECT_GT(rig.runtime->stats().makespan, horizon);
+  SimTime last_crash = 0;
+  for (const auto& rec : rig.runtime->recovery_log()) {
+    last_crash = std::max(last_crash, rec.crash_at);
+  }
+  EXPECT_GT(last_crash, horizon);
+}
+
+TEST(AnalyticResilience, CleanRunMatchesSerialSchedule) {
+  SerialRig one(1, FaultConfig{});
+  one.run(1);
+  const SimDuration task = one.runtime->stats().makespan;
+  ASSERT_GT(task, 0u);
+  // An armed injector with nothing to inject leaves 8 tasks on 2 workers
+  // at exactly 4 back-to-back task times.
+  FaultConfig armed;
+  armed.enabled = true;
+  SerialRig rig(2, armed);
+  rig.run(8);
+  const auto stats = rig.runtime->stats();
+  EXPECT_EQ(rig.runtime->results().size(), 8u);
+  EXPECT_EQ(stats.makespan, 4 * task);
+  EXPECT_EQ(stats.worker_failures, 0u);
+  EXPECT_EQ(stats.detections, 0u);
+  EXPECT_TRUE(rig.runtime->recovery_log().empty());
+}
+
+// --- wasted-energy accounting -----------------------------------------------
+
+TEST(LegacyFailures, CrashedAttemptsChargeWastedEnergy) {
+  SerialRig clean(1, FaultConfig{});
+  clean.run(1);
+  const TaskResult attempt = clean.runtime->results().front();
+  const SimDuration full = attempt.finished - attempt.started;
+  const SimDuration half = full / 2;
+  // Crash the same attempt halfway: exactly that share of its energy is
+  // charged as waste, and the task still completes on the retry.
+  FaultConfig fc;
+  fc.enabled = true;
+  fc.scripted_crashes.push_back({/*worker=*/0, attempt.started + half,
+                                 /*permanent=*/false, microseconds(100)});
+  SerialRig rig(1, fc);
+  rig.run(1);
+  const auto stats = rig.runtime->stats();
+  EXPECT_EQ(rig.runtime->results().size(), 1u);
+  EXPECT_EQ(stats.worker_failures, 1u);
+  EXPECT_EQ(stats.reexecutions, 1u);
+  EXPECT_DOUBLE_EQ(stats.wasted_energy,
+                   attempt.energy * (static_cast<double>(half) /
+                                     static_cast<double>(full)));
+}
+
+TEST(LegacyFailures, CleanRunWastesNothing) {
+  // Faults that destroy no in-flight attempt (fabric SEUs hit only idle
+  // modules; a degraded link only slows traffic) charge no waste.
+  FaultConfig fc = seu_faults(50000.0);
+  fc.link_degrades.push_back({/*level=*/1, /*at=*/microseconds(500),
+                              /*duration=*/milliseconds(1),
+                              /*factor=*/4.0});
+  LiveRig rig(fc);
+  rig.run(64);
+  const auto stats = rig.runtime->stats();
+  EXPECT_EQ(rig.runtime->results().size(), 64u);
+  EXPECT_GT(rig.runtime->faults()->seu_hits(), 0u);
+  EXPECT_EQ(rig.runtime->faults()->link_faults(), 1u);
+  EXPECT_EQ(stats.worker_failures, 0u);
+  EXPECT_EQ(stats.wasted_energy, 0.0);
+}
 
 // --- UNIMEM dead-owner failover ---------------------------------------------
 
