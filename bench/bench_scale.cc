@@ -7,8 +7,8 @@
 //    the dense table alone was 8 B per endpoint *pair*),
 //  * route-computation ns/op (the LCA walk, sampled over random pairs),
 //    compared head-to-head against the legacy dense table at 64 workers,
-//  * cross-shard message throughput through the consolidated per-thread
-//    lanes, with the 1-vs-N-thread hash equality gate.
+//  * cross-shard message throughput through the per-thread outboxes,
+//    with the 1-vs-N-thread hash equality gate.
 //
 // Deterministic columns (state bytes, hashes, counts) are committed in
 // bench/baselines/bench_scale.json and compared exactly by CI; wall-time
@@ -65,7 +65,7 @@ struct ScaleRow {
   double construct_ms = 0.0;
   double rss_mb = 0.0;             // RSS growth while constructing
   std::uint64_t route_bytes = 0;   // Network routing state
-  std::uint64_t lane_bytes = 0;    // sharded-engine lane rings
+  std::uint64_t lane_bytes = 0;    // sharded-engine outbox reserves
   double state_b_per_ep = 0.0;     // (route + lanes) / workers
   double route_ns = 0.0;           // route_latency ns/op, sampled pairs
   std::uint64_t lazy_workers = 0;  // constructed after touching one pool
@@ -103,7 +103,7 @@ ScaleRow measure_scale_point(const ScalePoint& p) {
   const auto start = Clock::now();
   Machine machine(mc);
   // The engine shard layout a parallel run of this machine would use: one
-  // shard per Compute Node, one message lane per worker thread.
+  // shard per Compute Node, one message outbox per worker thread.
   ShardedConfig sc;
   sc.shards = p.nodes;
   sc.lookahead = std::max<SimDuration>(machine.pgas().shard_lookahead(), 1);
@@ -140,7 +140,7 @@ ScaleRow measure_scale_point(const ScalePoint& p) {
   return row;
 }
 
-// --- cross-shard message throughput over the consolidated lanes -------------
+// --- cross-shard message throughput over the per-thread outboxes ------------
 
 struct LaneActor {
   ShardedSimulator* eng = nullptr;
@@ -181,7 +181,6 @@ LaneRun lane_throughput(std::size_t shards, std::size_t threads,
   sc.shards = shards;
   sc.lookahead = 200;
   sc.threads = threads;
-  sc.mailbox_capacity = 1024;
   ShardedSimulator engine(sc);
   std::vector<std::uint64_t> hashes(shards, 1469598103934665603ull);
   std::vector<std::unique_ptr<LaneActor>> actors;
@@ -225,7 +224,7 @@ int main(int argc, char** argv) {
   bench::print_header(
       "bench_scale",
       "hierarchical machines scale to 100k workers: implicit routes, "
-      "per-thread lanes, pooled node state");
+      "per-thread outboxes, pooled node state");
 
   // --- construction + state sweep -----------------------------------------
   const std::vector<ScalePoint> points = {
@@ -250,8 +249,8 @@ int main(int argc, char** argv) {
       scale,
       "machine construction and routing state, 64 -> 100k workers (route\n"
       "state is the per-vertex tree arrays; lane bytes the per-thread\n"
-      "cross-shard rings; lazy workers = constructed after touching one\n"
-      "node's pool):");
+      "cross-shard outbox reserves; lazy workers = constructed after\n"
+      "touching one node's pool):");
   const ScaleRow& big = rows.back();
   if (big.construct_ms >= 1000.0) {
     std::cerr << "FATAL: 100k-worker machine took " << big.construct_ms
@@ -288,7 +287,7 @@ int main(int argc, char** argv) {
                      "pre-materialized dense table (the walk must stay\n"
                      "within 2x of the lookup):");
 
-  // --- cross-shard throughput over consolidated lanes ---------------------
+  // --- cross-shard throughput over the per-thread outboxes ----------------
   constexpr std::size_t kShards = 32;
   constexpr std::uint64_t kFires = 600;
   lane_throughput(kShards, 1, kFires / 8);  // warm-up
@@ -303,8 +302,8 @@ int main(int argc, char** argv) {
   bench::print_table(
       lanes,
       "cross-shard messages through the per-thread lanes, 32 shards x 4\n"
-      "actors (hashes must match across thread counts; spill counts are\n"
-      "wall-clock-side and may differ):");
+      "actors (hashes must match across thread counts; spills count posts\n"
+      "past an outbox reserve, wall-clock-side and may differ):");
   if (seq.hash != par.hash) {
     std::cerr << "FATAL: lane hash mismatch across thread counts\n";
     return 1;

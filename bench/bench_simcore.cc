@@ -144,7 +144,7 @@ struct ShardedMeshResult {
 /// Cross-posting actor mesh on the ShardedSimulator: per-shard
 /// self-rescheduling actors where one fire in four also posts an event to
 /// another shard at now + lookahead + jitter. Exercises window turnover,
-/// the canonical mailbox merge and the post() latency contract — the
+/// the canonical cross-shard merge and the post() latency contract — the
 /// engine-level analogue of the multi-node runtime workloads.
 ShardedMeshResult sharded_mesh(std::size_t shards, std::size_t threads,
                                std::size_t actors_per_shard,
@@ -153,7 +153,6 @@ ShardedMeshResult sharded_mesh(std::size_t shards, std::size_t threads,
   sc.shards = shards;
   sc.lookahead = 200;
   sc.threads = threads;
-  sc.mailbox_capacity = 256;
   ShardedSimulator engine(sc);
   std::vector<ShardHash> hashes(shards);
 
@@ -257,7 +256,6 @@ ImbalancedMeshResult imbalanced_mesh(std::size_t threads) {
   sc.shards = kShards;
   sc.lookahead = 200;
   sc.threads = threads;
-  sc.mailbox_capacity = 1024;
   ShardedSimulator engine(sc);
   std::vector<ShardHash> hashes(kShards);
 

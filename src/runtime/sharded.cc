@@ -44,7 +44,6 @@ ShardedRuntime::ShardedRuntime(ShardedRuntimeConfig config)
   sc.shards = n;
   sc.lookahead = std::max<SimDuration>(internode_->min_cross_latency(0), 1);
   sc.threads = config_.threads;
-  sc.mailbox_capacity = config_.mailbox_capacity;
   // Per-pair lookahead straight from the interconnect: route_latency is a
   // shortest-path metric (triangle inequality holds), which is what the
   // engine's relayed-causality argument needs, and post_task

@@ -9,10 +9,10 @@
 // and the shards advance concurrently inside conservative synchronization
 // windows (see sim/parallel.h). Node-local work (PGAS accesses, fabric
 // invocations, queue spills) never leaves its shard; the only cross-shard
-// interaction is an explicit task forward, which rides an SPSC mailbox and
-// is charged the inter-node interconnect's head latency — by construction
-// at least the engine's lookahead, so no shard ever receives an event in
-// its past.
+// interaction is an explicit task forward, which rides the sending
+// thread's outbox and is charged the inter-node interconnect's head
+// latency — by construction at least the engine's lookahead, so no shard
+// ever receives an event in its past.
 //
 // Inter-node latencies and the lookahead are derived from a Network over
 // the node-level topology (Network::route_latency / min_cross_latency) —
@@ -44,7 +44,6 @@ struct ShardedRuntimeConfig {
   /// Simulation threads (0 = hardware concurrency). Never changes results,
   /// only wall-clock time: --sim-threads N is byte-identical to 1.
   std::size_t threads = 1;
-  std::size_t mailbox_capacity = 1024;
   /// Template for each node's machine; nodes is forced to 1 (the shard IS
   /// the node) and workers_per_node to the field above. The PGAS l1 link
   /// parameters double as the inter-node links of the forwarding network.
@@ -112,7 +111,7 @@ class ShardedRuntime {
 
   /// Ship `task` from node `from` (whose shard must be executing the
   /// calling action) to node `to`: it is released on the destination after
-  /// the inter-node head latency, routed through the (from, to) mailbox
+  /// the inter-node head latency, posted through the engine's outboxes
   /// and merged deterministically at the next window barrier.
   void post_task(std::size_t from, std::size_t to, Task task);
 
@@ -142,10 +141,10 @@ class ShardedRuntime {
     epoch_hook_ = std::move(hook);
   }
 
-  /// Run windows until every shard and mailbox drains; asserts every
-  /// node's runtime retired all submitted tasks. With an epoch policy
-  /// installed the drain interleaves the epoch hook at every period
-  /// boundary (the hook is skipped once the workload has fully drained).
+  /// Run windows until every shard drains; asserts every node's runtime
+  /// retired all submitted tasks. With an epoch policy installed the drain
+  /// interleaves the epoch hook at every period boundary (the hook is
+  /// skipped once the workload has fully drained).
   void run();
 
   struct Stats {
@@ -153,7 +152,7 @@ class ShardedRuntime {
     Picojoules energy = 0.0;       // machine energy, all nodes
     std::uint64_t tasks = 0;       // task results across nodes
     std::uint64_t shed_tasks = 0;  // admission-control sheds, all nodes
-    std::uint64_t cross_posts = 0; // mailbox messages (forwards + posts)
+    std::uint64_t cross_posts = 0; // cross-shard messages (forwards + posts)
     std::uint64_t events = 0;      // simulator events, all shards
     std::uint64_t windows = 0;     // engine synchronization rounds
     std::uint64_t mailbox_spills = 0;

@@ -41,21 +41,21 @@ struct ParTraceNames {
 constexpr std::uint16_t kEngineTid = 0xFFF0;
 
 /// Which shard (of which engine) the current thread is executing a window
-/// for, and which lane it owns; post() validates its `from` argument
-/// against this and routes through the lane.
+/// for, and the outbox it posts into; post() validates its `from` argument
+/// against this and appends to the outbox.
 struct RunContext {
   const void* engine = nullptr;
   std::size_t shard = 0;
-  ShardLane* lane = nullptr;
+  std::vector<ShardMessage>* outbox = nullptr;
 };
 thread_local RunContext tls_run_context;
 
 /// Canonical merge order: by destination, then (time, source shard, send
 /// sequence). The destination queue assigns its tie-breaking sequence
 /// numbers in this order, so execution is independent of thread count, of
-/// which lane a message rode, of stealing, and of the order the producing
+/// which outbox a message rode, of stealing, and of the order the producing
 /// shards happened to finish their windows. (src, seq) is unique, so the
-/// key is a total order and no stable sort/merge is needed.
+/// key is a total order and no stable sort is needed.
 struct MergeKeyLess {
   template <typename Item>
   bool operator()(const Item& a, const Item& b) const {
@@ -98,11 +98,15 @@ ShardedSimulator::ShardedSimulator(ShardedConfig config)
     // Lane 0 stays the classic single-engine lane; shard s gets lane s+1.
     shards_.back()->sim.set_trace_lane(static_cast<std::uint16_t>(s + 1));
   }
-  lanes_.reserve(threads_);
+  // Reserve every per-round buffer up front so the steady state allocates
+  // nothing (sim_alloc_test gates this at --sim-threads > 1).
   slots_.reserve(threads_);
   for (std::size_t t = 0; t < threads_; ++t) {
-    lanes_.push_back(std::make_unique<ShardLane>(config_.mailbox_capacity));
     slots_.push_back(std::make_unique<WorkerSlot>());
+    WorkerSlot& slot = *slots_.back();
+    slot.outbox.reserve(kOutboxReserve);
+    slot.inbox.reserve(kOutboxReserve);
+    slot.queue.reserve((t + 1) * nshards / threads_ - t * nshards / threads_);
   }
   next_times_.assign(nshards, kNever);
 
@@ -248,21 +252,25 @@ void ShardedSimulator::post_message(std::size_t from, std::size_t to,
   // latency into `from` — so the posting shard's window must stop before
   // that time.
   src.sim.tighten_run_bound(t + dest_floor_[from]);
-  tls_run_context.lane->push(t, static_cast<std::uint32_t>(from),
-                             static_cast<std::uint32_t>(to), src.post_seq++,
-                             std::move(action));
+  tls_run_context.outbox->push_back(
+      ShardMessage{t, static_cast<std::uint32_t>(from),
+                   static_cast<std::uint32_t>(to), src.post_seq++,
+                   std::move(action)});
 }
 
-void ShardedSimulator::run_shard_window(std::size_t s, SimTime end,
-                                        std::size_t lane) {
+bool ShardedSimulator::run_shard_window(std::size_t s, SimTime end,
+                                        std::size_t tid) {
   const RunContext saved = tls_run_context;
-  tls_run_context = RunContext{this, s, lanes_[lane].get()};
+  tls_run_context = RunContext{this, s, &slots_[tid]->outbox};
+  bool ok = true;
   try {
     shards_[s]->sim.run_before(end);
   } catch (...) {
     shards_[s]->error = std::current_exception();
+    ok = false;
   }
   tls_run_context = saved;
+  return ok;
 }
 
 void ShardedSimulator::rethrow_shard_error() {
@@ -270,13 +278,13 @@ void ShardedSimulator::rethrow_shard_error() {
     if (s->error) {
       std::exception_ptr e = s->error;
       s->error = nullptr;
-      done_.store(true, std::memory_order_relaxed);
       std::rethrow_exception(e);
     }
   }
 }
 
-SimTime ShardedSimulator::shard_horizon(std::size_t d) const {
+SimTime ShardedSimulator::shard_horizon(std::size_t d,
+                                        const RoundPlan& plan) const {
   // The horizon is clamped to the run_until() bound: events at or after it
   // belong to the next segment. The clamp keeps the horizon a pure
   // function of published state, so determinism is unaffected.
@@ -297,39 +305,20 @@ SimTime ShardedSimulator::shard_horizon(std::size_t d) const {
     }
     return std::min(best, run_bound_);
   }
-  // Collapsed horizon from the planner's top-2 of next_s + source_floor_s:
+  // Collapsed horizon from the plan's top-2 of next_s + source_floor_s:
   // min over s != d in O(1). source_floor <= L(s, d) for every d, so this
   // is a (possibly looser, never unsafe) bound.
-  return std::min(plan_src_arg_ == d ? plan_src2_ : plan_src1_, run_bound_);
+  return std::min(plan.src_arg == d ? plan.src2 : plan.src1, run_bound_);
 }
 
 void ShardedSimulator::prepare_run() {
-  done_.store(false, std::memory_order_relaxed);
   trace_prev_valid_ = false;
-  const std::size_t nshards = shards_.size();
-  const std::size_t nthreads = threads_;
-  // Pre-reserve every per-round buffer so the steady state allocates
-  // nothing (sim_alloc_test gates this at --sim-threads > 1): the drain
-  // scratch holds one lane, a merge buffer holds as many runs as reach its
-  // slot in the reduction tree (slot 0's final run holds everything).
-  std::size_t padded = 1;
-  while (padded < nthreads) padded <<= 1;
-  for (std::size_t t = 0; t < nthreads; ++t) {
-    WorkerSlot& slot = *slots_[t];
-    const std::size_t cap = lanes_[t]->capacity();
-    slot.msgs.clear();
-    slot.msgs.reserve(cap);
-    const std::size_t reach = t == 0 ? padded : (t & (~t + 1));
-    slot.run_a.reserve(reach * cap);
-    slot.run_b.reserve(reach * cap);
-    slot.run = &slot.run_a;
-    const std::size_t lo = t * nshards / nthreads;
-    const std::size_t hi = (t + 1) * nshards / nthreads;
-    slot.queue.reserve(hi - lo);
-  }
   // Seed next-event times, ready queues and fold partials — the same scan
-  // the fold phase performs at every round boundary.
-  for (std::size_t t = 0; t < nthreads; ++t) fold_range(t);
+  // the exchange phase performs at every round boundary.
+  for (std::size_t t = 0; t < threads_; ++t) {
+    slots_[t]->tally = RoundTally{};
+    fold_range(t);
+  }
 }
 
 void ShardedSimulator::fold_range(std::size_t tid) {
@@ -355,27 +344,33 @@ void ShardedSimulator::fold_range(std::size_t tid) {
   me.cursor.store(0, std::memory_order_relaxed);
 }
 
-void ShardedSimulator::plan_round() {
-  rethrow_shard_error();
-  // Fold the per-thread partials: O(threads) here instead of the old
-  // O(shards) worker-0 rescan — the top of the next-event reduction tree.
-  SimTime floor = kNever;
-  SimTime src1 = kNever, src2 = kNever;
-  std::uint32_t src_arg = 0;
+ShardedSimulator::RoundPlan ShardedSimulator::plan_round(std::size_t tid) {
+  // Every thread folds the same published partials in the same order, so
+  // every thread derives the same plan — the top of the next-event
+  // reduction, with no serial planner and no barrier of its own.
+  RoundPlan plan;
+  bool failed = false;
+  for (const auto& slot : slots_) {
+    plan.floor = std::min(plan.floor, slot->part_floor);
+    fold_top2(slot->part_src1, slot->part_src_arg, plan.src1, plan.src2,
+              plan.src_arg);
+    plan.src2 = std::min(plan.src2, slot->part_src2);
+    failed = failed || slot->tally.failed;
+  }
+  // Drained, a shard threw (run_until() rethrows it after the join), or
+  // every remaining event sits at or past the run_until() bound — this
+  // segment is over (the pending work is the next one's).
+  plan.done = failed || plan.floor == kNever || plan.floor >= run_bound_;
+  if (tid != 0) return plan;
+
   SimTime round_min_horizon = kNever;
-  for (auto& slot_ptr : slots_) {
-    WorkerSlot& slot = *slot_ptr;
-    floor = std::min(floor, slot.part_floor);
-    fold_top2(slot.part_src1, slot.part_src_arg, src1, src2, src_arg);
-    src2 = std::min(src2, slot.part_src2);
-    shard_windows_ += slot.executed;
-    stalled_windows_ += slot.stalled;
-    steals_ += slot.stolen;
-    slot.executed = 0;
-    slot.stalled = 0;
-    slot.stolen = 0;
-    round_min_horizon = std::min(round_min_horizon, slot.min_horizon);
-    slot.min_horizon = kNever;
+  for (const auto& slot : slots_) {
+    const RoundTally& tally = slot->tally;
+    shard_windows_ += tally.executed;
+    stalled_windows_ += tally.stalled;
+    steals_ += tally.stolen;
+    merged_messages_ += tally.merged;
+    round_min_horizon = std::min(round_min_horizon, tally.min_horizon);
   }
   if (trace_prev_valid_) {
     // The span for the round that just completed: [its floor, the tightest
@@ -388,7 +383,7 @@ void ShardedSimulator::plan_round() {
                    span_end, windows_ - 1);
     ECO_TRACE_COUNTER(obs::Cat::kSim, par_trace_names().messages,
                       (obs::Lane{obs::kSimPid, kEngineTid}),
-                      trace_prev_floor_, messages());
+                      trace_prev_floor_, merged_messages_);
     ECO_TRACE_COUNTER(obs::Cat::kSim, par_trace_names().stall,
                       (obs::Lane{obs::kSimPid, kEngineTid}),
                       trace_prev_floor_, stalled_windows_);
@@ -398,27 +393,25 @@ void ShardedSimulator::plan_round() {
                         trace_prev_floor_, steals_);
     }
   }
-  if (floor == kNever || floor >= run_bound_) {
-    // Drained, or every remaining event sits at or past the run_until()
-    // bound — this segment is over (the pending work is the next one's).
-    done_.store(true, std::memory_order_relaxed);
-    return;
+  if (!plan.done) {
+    trace_prev_valid_ = true;
+    trace_prev_floor_ = plan.floor;
+    ++windows_;
   }
-  plan_src1_ = src1;
-  plan_src2_ = src2;
-  plan_src_arg_ = src_arg;
-  trace_prev_valid_ = true;
-  trace_prev_floor_ = floor;
-  ++windows_;
+  return plan;
 }
 
-void ShardedSimulator::execute_round(std::size_t tid) {
+ShardedSimulator::RoundTally ShardedSimulator::execute_round(
+    std::size_t tid, const RoundPlan& plan) {
   WorkerSlot& me = *slots_[tid];
+  // Every exchange that read this outbox finished before the last gate.
+  me.outbox.clear();
+  RoundTally tally;
   const std::size_t nthreads = threads_;
   // Claim shard windows: own queue first, then sweep the other queues
   // round-robin. Queues are fixed for the round, so one sweep claims
   // every candidate exactly once (atomic cursor bump), and whichever
-  // thread claims a shard never affects results — only which lane its
+  // thread claims a shard never affects results — only which outbox its
   // messages ride, which the canonical merge washes out.
   for (std::size_t v = 0; v < nthreads; ++v) {
     WorkerSlot& q = *slots_[(tid + v) % nthreads];
@@ -428,111 +421,65 @@ void ShardedSimulator::execute_round(std::size_t tid) {
           q.cursor.fetch_add(1, std::memory_order_relaxed);
       if (idx >= q.queue.size()) break;
       const std::size_t d = q.queue[idx];
-      const SimTime horizon = shard_horizon(d);
-      me.min_horizon = std::min(me.min_horizon, horizon);
-      if (stolen) ++me.stolen;
+      const SimTime horizon = shard_horizon(d, plan);
+      tally.min_horizon = std::min(tally.min_horizon, horizon);
+      if (stolen) ++tally.stolen;
       if (horizon > next_times_[d]) {
-        ++me.executed;
-        run_shard_window(d, horizon, tid);
+        ++tally.executed;
+        if (!run_shard_window(d, horizon, tid)) tally.failed = true;
       } else {
         // Pending work the horizon forbade: a barrier stall. Deterministic
         // (horizons derive from published simulation state only).
-        ++me.stalled;
+        ++tally.stalled;
       }
     }
   }
-  // Drain this thread's lane and sort it into a merge run — the leaves of
-  // the message reduction tree.
-  me.msgs.clear();
-  lanes_[tid]->drain(me.msgs);
-  std::vector<MergeItem>& run = me.run_a;
-  run.clear();
-  me.run = &run;
-  for (std::size_t i = 0; i < me.msgs.size(); ++i) {
-    const ShardMessage& m = me.msgs[i];
-    run.push_back(MergeItem{m.time, m.src, m.dst, m.seq,
-                            static_cast<std::uint32_t>(tid),
-                            static_cast<std::uint32_t>(i)});
-  }
-  std::sort(run.begin(), run.end(), MergeKeyLess{});
+  return tally;
 }
 
-void ShardedSimulator::merge_runs(std::size_t tid, RoundGate* gate) {
-  // Pairwise tree merge of the per-thread sorted runs: level k merges
-  // slots 2^k apart, so after log2(threads) levels slot 0 holds the one
-  // canonically-ordered run. Each level is a disjoint set of two-run
-  // merges running in parallel; the level barrier publishes the children.
-  const std::size_t nthreads = threads_;
-  for (std::size_t half = 1; half < nthreads; half <<= 1) {
-    if (tid % (2 * half) == 0 && tid + half < nthreads) {
-      WorkerSlot& a = *slots_[tid];
-      WorkerSlot& b = *slots_[tid + half];
-      std::vector<MergeItem>& out =
-          a.run == &a.run_a ? a.run_b : a.run_a;
-      out.resize(a.run->size() + b.run->size());
-      std::merge(a.run->begin(), a.run->end(), b.run->begin(), b.run->end(),
-                 out.begin(), MergeKeyLess{});
-      a.run = &out;
-    }
-    if (gate) gate->sync();
-  }
-}
-
-void ShardedSimulator::insert_and_fold(std::size_t tid, std::size_t total) {
+void ShardedSimulator::exchange(std::size_t tid, RoundTally tally) {
+  WorkerSlot& me = *slots_[tid];
   const std::size_t nshards = shards_.size();
   const std::size_t lo = tid * nshards / threads_;
   const std::size_t hi = (tid + 1) * nshards / threads_;
-  if (total > 0) {
-    // The final run is sorted by destination first: each thread binary-
-    // searches its contiguous destination range and inserts in canonical
-    // order, so destination seq numbers come out thread-count invariant.
-    const std::vector<MergeItem>& run = *slots_[0]->run;
-    const auto dst_less = [](const MergeItem& m, std::size_t d) {
-      return m.dst < d;
-    };
-    const auto begin =
-        std::lower_bound(run.begin(), run.end(), lo, dst_less);
-    const auto end = std::lower_bound(begin, run.end(), hi, dst_less);
-    for (auto it = begin; it != end; ++it) {
-      shards_[it->dst]->sim.schedule_at(
-          it->time, std::move(slots_[it->lane]->msgs[it->pos].action));
+  // Gather the messages addressed to this thread's shard range from every
+  // outbox and insert them in canonical order, so destination seq numbers
+  // come out thread-count invariant. Threads only read the keys of other
+  // threads' messages and move out the actions of their own range's.
+  me.inbox.clear();
+  for (std::size_t t = 0; t < threads_; ++t) {
+    const std::vector<ShardMessage>& outbox = slots_[t]->outbox;
+    for (std::size_t i = 0; i < outbox.size(); ++i) {
+      const ShardMessage& m = outbox[i];
+      if (m.dst < lo || m.dst >= hi) continue;
+      me.inbox.push_back(InboxItem{m.time, m.src, m.dst, m.seq,
+                                   static_cast<std::uint32_t>(t),
+                                   static_cast<std::uint32_t>(i)});
     }
   }
+  std::sort(me.inbox.begin(), me.inbox.end(), MergeKeyLess{});
+  for (const InboxItem& it : me.inbox) {
+    shards_[it.dst]->sim.schedule_at(
+        it.time, std::move(slots_[it.box]->outbox[it.pos].action));
+  }
+  if (me.outbox.size() > kOutboxReserve) {
+    me.spills += me.outbox.size() - kOutboxReserve;
+  }
+  tally.merged = me.inbox.size();
+  me.tally = tally;
   fold_range(tid);
 }
 
-void ShardedSimulator::drive(std::size_t tid, RoundGate* gate,
-                             std::exception_ptr* failure) {
+void ShardedSimulator::drive(std::size_t tid, RoundGate* gate) {
   // Round schedule (barriers in parallel runs only):
-  //   plan (worker 0) | gate | execute | gate | tree merge (log2 gates)
-  //   insert + fold | gate | next plan ...
+  //   plan | execute | gate | exchange | gate | next plan ...
   for (;;) {
-    if (tid == 0) {
-      if (failure != nullptr) {
-        try {
-          plan_round();
-        } catch (...) {
-          *failure = std::current_exception();
-          done_.store(true, std::memory_order_relaxed);
-        }
-      } else {
-        plan_round();
-      }
-    }
-    if (gate) gate->sync();  // plan published (or done)
-    if (done_.load(std::memory_order_relaxed)) return;
-    execute_round(tid);
-    if (gate) gate->sync();  // every run sorted, every window finished
-    // Sum lane sizes from msgs, not the run pointers: a fast thread may
-    // already be inside merge_runs() swapping run pointers while a slow
-    // one is still counting, but msgs is only ever written by its owner
-    // on the other side of the gate above (the counts are equal — a run
-    // starts as one item per drained message).
-    std::size_t total = 0;
-    for (const auto& slot : slots_) total += slot->msgs.size();
-    if (total > 0) merge_runs(tid, gate);
-    insert_and_fold(tid, total);
-    if (gate) gate->sync();  // partials published for the next plan
+    const RoundPlan plan = plan_round(tid);
+    if (plan.done) return;
+    const RoundTally tally = execute_round(tid, plan);
+    if (gate) gate->sync();  // every window finished, every outbox final
+    exchange(tid, tally);
+    if (gate) gate->sync();  // tallies and partials published
   }
 }
 
@@ -541,15 +488,10 @@ void ShardedSimulator::run_parallel() {
   std::vector<std::thread> pool;
   pool.reserve(threads_ - 1);
   for (std::size_t t = 1; t < threads_; ++t) {
-    pool.emplace_back([this, t, &gate] { drive(t, &gate, nullptr); });
+    pool.emplace_back([this, t, &gate] { drive(t, &gate); });
   }
-  // The calling thread is worker 0 and runs the planner between rounds;
-  // plan_round() may rethrow a shard's exception, so workers must still be
-  // released to exit before we propagate it.
-  std::exception_ptr failure;
-  drive(0, &gate, &failure);
+  drive(0, &gate);  // the calling thread is worker 0
   for (auto& t : pool) t.join();
-  if (failure) std::rethrow_exception(failure);
 }
 
 void ShardedSimulator::run() { run_until(kNever); }
@@ -557,15 +499,10 @@ void ShardedSimulator::run() { run_until(kNever); }
 bool ShardedSimulator::run_until(SimTime bound) {
   run_bound_ = bound;
   prepare_run();
-  try {
-    if (threads_ <= 1 || shards_.size() == 1) {
-      drive(0, nullptr, nullptr);
-    } else {
-      run_parallel();
-    }
-  } catch (...) {
-    run_bound_ = kNever;
-    throw;
+  if (threads_ == 1) {
+    drive(0, nullptr);
+  } else {
+    run_parallel();
   }
   run_bound_ = kNever;
   rethrow_shard_error();
@@ -584,14 +521,12 @@ std::uint64_t ShardedSimulator::messages() const {
 
 std::uint64_t ShardedSimulator::mailbox_spills() const {
   std::uint64_t total = 0;
-  for (const auto& l : lanes_) total += l->overflow_spills();
+  for (const auto& slot : slots_) total += slot->spills;
   return total;
 }
 
 std::size_t ShardedSimulator::mailbox_state_bytes() const {
-  std::size_t total = 0;
-  for (const auto& l : lanes_) total += l->state_bytes();
-  return total;
+  return threads_ * kOutboxReserve * sizeof(ShardMessage);
 }
 
 std::uint64_t ShardedSimulator::events_processed() const {

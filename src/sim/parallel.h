@@ -41,33 +41,40 @@
 //     work and the peer bound above protects d for the rest of the
 //     chain's life.
 //
-// Scheduling: shards are claimed from per-thread ready queues with
-// work stealing — a thread that drains its own stripe steals windows from
-// a loaded peer, so shards >> threads no longer serializes behind the
-// static stripe. Claiming is an atomic cursor bump per queue (the queues
-// are pre-populated each round, so the classic Chase-Lev push/steal races
-// don't arise). Which thread runs a window never affects results: the
-// shard's trace lane and post() sequence counter travel with the shard,
-// and the merge key orders messages independently of the lane they rode.
+// Scheduling: every round is plan | execute | gate | exchange | gate.
+// Each thread plans the round itself by folding the per-thread partials
+// published at the previous exchange; the plan is a pure function of those
+// partials, so every thread derives the same horizons and no serial
+// planner sits between rounds (thread 0 alone also counts the window and
+// emits the engine trace span). Shards are then claimed from per-thread
+// ready queues with work stealing — a thread that drains its own stripe
+// steals windows from a loaded peer, so shards >> threads no longer
+// serializes behind the static stripe. Claiming is an atomic cursor bump
+// per queue (the queues are pre-populated each round, so the classic
+// Chase-Lev push/steal races don't arise). Which thread runs a window
+// never affects results: the shard's trace lane and post() sequence
+// counter travel with the shard, and the merge key orders messages
+// independently of the outbox they rode.
 //
-// Merging: cross-shard messages and the per-shard next-event times are
-// combined by reduction trees instead of a worker-0 serial loop. Each
-// thread sorts its own lane's messages into a run; runs are merged
-// pairwise over log2(threads) levels (each level merges two already-sorted
-// children); the final run is partitioned by destination and inserted by
-// all threads in parallel. The per-shard next-event scan folds the same
-// way: each thread publishes a partial min over its contiguous shard
-// range, and the round planner combines O(threads) partials instead of
-// rescanning O(shards).
+// Merging: post() appends to the executing thread's own outbox, a plain
+// vector only its owner writes. In the exchange phase each thread takes,
+// from every outbox, the messages addressed to its own contiguous shard
+// range, sorts them by the canonical key and inserts them, then refreshes
+// its shards' next-event times and publishes its fold partials (min next
+// event, top-2 of next + source_floor) and round tallies. Race freedom:
+// the execute phase writes only shard state, its own outbox and locals;
+// everything a plan reads is written only in the exchange phase, and an
+// outbox is cleared by its owner only in the next execute phase, after the
+// second gate.
 //
 // Determinism: the merge is canonical — messages sort by (destination,
 // time, source shard, source sequence), a total order — so destination
 // tie-breaking sequence numbers are assigned in an order independent of
-// thread count, lane assignment, stealing, and completion order. Horizons
+// thread count, outbox assignment, stealing, and completion order. Horizons
 // are computed only from the published next-event times (deterministic
 // simulation state), so the window schedule itself is thread-count
 // invariant and a run with `threads = N` is byte-identical to
-// `threads = 1`. Only lane *spill counts* and the *steal count* —
+// `threads = 1`. Only outbox *spill counts* and the *steal count* —
 // wall-clock-side metrics — vary with the thread count.
 #pragma once
 
@@ -83,10 +90,23 @@
 
 #include "common/check.h"
 #include "common/units.h"
-#include "sim/mailbox.h"
+#include "sim/inline_action.h"
 #include "sim/simulator.h"
 
 namespace ecoscale {
+
+/// One cross-shard event in flight: deliver `action` on shard `dst` at
+/// absolute sim time `time`. `src` and `seq` (the source shard's running
+/// send counter) complete the canonical merge key — an outbox holds the
+/// posts of every shard its thread ran, so every message is
+/// self-describing.
+struct ShardMessage {
+  SimTime time = 0;
+  std::uint32_t src = 0;
+  std::uint32_t dst = 0;
+  std::uint64_t seq = 0;
+  InlineAction action;
+};
 
 /// Thin wrapper over std::barrier<> (defined in parallel.cc so includers
 /// don't pull in <barrier>). Null gate = sequential run, no waiting.
@@ -103,9 +123,6 @@ struct ShardedConfig {
   /// Worker threads; 0 picks std::thread::hardware_concurrency(). The
   /// thread count never changes simulation results, only wall-clock time.
   std::size_t threads = 1;
-  /// Ring capacity of each per-thread lane; bursts beyond it spill to a
-  /// producer-owned overflow vector (correct but allocating).
-  std::size_t mailbox_capacity = 1024;
   /// Optional per-pair latency oracle L(from, to), e.g. a captured
   /// Network::route_latency. Must be >= 1 for every pair and satisfy the
   /// triangle inequality L(a, c) <= L(a, b) + L(b, c) — true for any
@@ -132,6 +149,11 @@ struct ShardedConfig {
 
 class ShardedSimulator {
  public:
+  /// Messages each worker thread's outbox holds without allocating
+  /// (reserved at construction). A round whose windows post more on one
+  /// thread grows that outbox — counted in mailbox_spills().
+  static constexpr std::size_t kOutboxReserve = 1024;
+
   explicit ShardedSimulator(ShardedConfig config);
   ~ShardedSimulator();
 
@@ -163,7 +185,7 @@ class ShardedSimulator {
     post_message(from, to, t, InlineAction(std::forward<F>(action)));
   }
 
-  /// Run rounds until every shard queue and every lane is empty.
+  /// Run rounds until every shard queue is empty.
   /// Rethrows the first (lowest shard id) exception an action threw.
   void run();
 
@@ -192,18 +214,18 @@ class ShardedSimulator {
   /// horizon forbade running it — the barrier-stall numerator. Adaptive
   /// windows exist to shrink this.
   std::uint64_t stalled_shard_windows() const { return stalled_windows_; }
-  /// Cross-shard messages routed through the lanes (sum of the per-source
-  /// send counters — identical whatever the lane layout).
+  /// Cross-shard messages posted (sum of the per-source send counters —
+  /// identical whatever thread ran the posting shard).
   std::uint64_t messages() const;
   /// Shard windows claimed by a thread other than the queue owner's.
   /// Wall-clock-side: depends on thread timing, never on results.
   std::uint64_t steals() const { return steals_; }
-  /// Pushes that overflowed a lane ring into its spill vector. Lane load
-  /// depends on how many shards share a thread, so this varies with the
-  /// thread count (simulation results never do).
+  /// Posts that grew an outbox past its reserve. Outbox load depends on
+  /// how many shards share a thread, so this varies with the thread count
+  /// (simulation results never do).
   std::uint64_t mailbox_spills() const;
-  /// Bytes of cross-shard buffering: the per-thread lane rings. O(threads ·
-  /// capacity), where the per-pair scheme was O(shards² · capacity).
+  /// Bytes of cross-shard buffering: the per-thread outbox reserves.
+  /// O(threads · reserve), where a per-pair scheme is O(shards² · reserve).
   std::size_t mailbox_state_bytes() const;
   /// Events retired across all shards.
   std::uint64_t events_processed() const;
@@ -225,38 +247,52 @@ class ShardedSimulator {
     std::uint64_t post_seq = 0;
   };
 
-  /// One sorted-run entry of the canonical merge: the full merge key plus
-  /// where the message body lives (producing lane, index in that lane's
-  /// drain scratch).
-  struct MergeItem {
+  /// One round's plan: the fold of every thread's published partials.
+  struct RoundPlan {
+    SimTime floor = kNever;  // global next-event floor
+    SimTime src1 = kNever;   // top-2 of next_s + source_floor_[s]
+    SimTime src2 = kNever;
+    std::uint32_t src_arg = 0;
+    bool done = false;  // drained, at the run_until() bound, or a shard threw
+  };
+
+  /// One thread's deterministic round tallies (plus the wall-clock-side
+  /// steal count), gathered in locals while executing and published in the
+  /// exchange phase.
+  struct RoundTally {
+    std::uint64_t executed = 0;
+    std::uint64_t stalled = 0;
+    std::uint64_t stolen = 0;
+    std::uint64_t merged = 0;  // messages this thread inserted
+    SimTime min_horizon = kNever;  // trace span end for the round
+    bool failed = false;           // an action threw
+  };
+
+  /// An inbox entry: the full merge key plus where the message body lives
+  /// (the producing thread's outbox, index in it).
+  struct InboxItem {
     SimTime time;
     std::uint32_t src;
     std::uint32_t dst;
     std::uint64_t seq;
-    std::uint32_t lane;
+    std::uint32_t box;
     std::uint32_t pos;
   };
 
   /// Per-worker-thread state: the round's ready queue (candidates from the
   /// thread's contiguous shard range; any thread may claim from it), the
-  /// lane-drain scratch and merge-run ping-pong buffers, deterministic
-  /// per-round tallies and the fold partials the planner combines.
+  /// outbox its windows post into, the inbox scratch of the exchange, and
+  /// the tallies and fold partials every plan reads.
   struct alignas(64) WorkerSlot {
     // Ready queue for the round; claimed via `cursor` (atomic bump — the
-    // queues are pre-populated at the previous round boundary, so no
-    // concurrent push ever races a steal).
+    // queues are pre-populated at the previous exchange, so no concurrent
+    // push ever races a steal).
     std::vector<std::uint32_t> queue;
     std::atomic<std::uint32_t> cursor{0};
-    // This thread's lane, drained and sorted into a run each round.
-    std::vector<ShardMessage> msgs;
-    std::vector<MergeItem> run_a, run_b;
-    std::vector<MergeItem>* run = nullptr;
-    // Deterministic per-round tallies (zeroed by the planner after
-    // folding) plus the wall-clock-side steal count.
-    std::uint64_t executed = 0;
-    std::uint64_t stalled = 0;
-    std::uint64_t stolen = 0;
-    SimTime min_horizon = kNever;  // trace span end for the round
+    std::vector<ShardMessage> outbox;
+    std::vector<InboxItem> inbox;
+    std::uint64_t spills = 0;
+    RoundTally tally;
     // Fold partials over the thread's contiguous shard range: min next
     // event time, and top-2 (value, runner-up, argmin) of
     // next + source_floor for the collapsed adaptive horizon.
@@ -267,45 +303,39 @@ class ShardedSimulator {
   };
 
   /// The non-template body of post(): validates the calling context and
-  /// pushes the fully-tagged message into the executing thread's lane.
+  /// appends the fully-tagged message to the executing thread's outbox.
   void post_message(std::size_t from, std::size_t to, SimTime t,
                     InlineAction action);
 
   /// Execute shard `s`'s events strictly before `end` with the post()
-  /// calling-context guard armed and `lanes_[lane]` as the outbox.
-  /// Exceptions land in the shard's slot.
-  void run_shard_window(std::size_t s, SimTime end, std::size_t lane);
+  /// calling-context guard armed and thread `tid`'s outbox as the target.
+  /// Returns false if an action threw (the exception lands in the shard).
+  bool run_shard_window(std::size_t s, SimTime end, std::size_t tid);
   void rethrow_shard_error();
 
   // --- round phases (see parallel.cc for the barrier schedule) ----------
-  /// Reset per-run state: pre-reserve every merge/drain/queue buffer from
-  /// the lane capacities (steady state allocates nothing) and seed the
-  /// next-event times, ready queues and fold partials.
+  /// Reset per-run state: zero the tallies and seed the next-event times,
+  /// ready queues and fold partials.
   void prepare_run();
-  /// Worker 0 between rounds: fold the per-thread partials (O(threads),
-  /// replacing the old O(shards) rescan), emit the previous round's trace
-  /// span/counters, publish the next round's horizons or done.
-  void plan_round();
-  /// Claim shards (own queue, then steal), run their windows, then drain
-  /// and sort this thread's lane into a merge run.
-  void execute_round(std::size_t tid);
-  /// Pairwise-merge the sorted runs over log2(threads) levels.
-  void merge_runs(std::size_t tid, RoundGate* gate);
-  /// Insert this thread's destination-partition of the final run, refresh
-  /// its shards' next-event times, rebuild its ready queue and partials.
-  void insert_and_fold(std::size_t tid, std::size_t total);
+  /// Fold the per-thread partials (O(threads)) into the round's plan.
+  /// Thread 0 also accounts the previous round's tallies, emits its trace
+  /// span/counters and counts the new window.
+  RoundPlan plan_round(std::size_t tid);
+  /// Claim shards (own queue, then steal) and run their windows.
+  RoundTally execute_round(std::size_t tid, const RoundPlan& plan);
+  /// Insert the messages addressed to this thread's shard range in
+  /// canonical order, then publish its tallies and fold partials.
+  void exchange(std::size_t tid, RoundTally tally);
   void fold_range(std::size_t tid);
   /// The per-shard execution horizon for this round (see file comment).
-  SimTime shard_horizon(std::size_t d) const;
-  /// One worker's whole round loop; `gate` is null in sequential runs and
-  /// `failure` non-null only on parallel worker 0 (plan_round may throw).
-  void drive(std::size_t tid, RoundGate* gate, std::exception_ptr* failure);
+  SimTime shard_horizon(std::size_t d, const RoundPlan& plan) const;
+  /// One worker's whole round loop; `gate` is null in sequential runs.
+  void drive(std::size_t tid, RoundGate* gate);
   void run_parallel();
 
   ShardedConfig config_;
   std::size_t threads_ = 1;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<ShardLane>> lanes_;  // one per worker thread
   std::vector<std::unique_ptr<WorkerSlot>> slots_;
 
   // Per-pair latency state: dense matrix (shards <= dense_pair_cap with an
@@ -317,25 +347,21 @@ class ShardedSimulator {
   std::vector<SimDuration> source_floor_;
   std::vector<SimDuration> dest_floor_;
   // Published next event time per shard (kNever = idle). Written only by
-  // the shard-range owner in the fold phase, read by everyone in the next
-  // execute phase; the round barriers order the two.
+  // the shard-range owner in the exchange phase, read by everyone in the
+  // next execute phase; the round barriers order the two.
   std::vector<SimTime> next_times_;
 
-  // Round plan, published by worker 0 and read by all workers after the
-  // plan barrier (plain fields; the barrier provides the happens-before).
-  SimTime plan_src1_ = kNever;   // top-2 of next_s + source_floor_[s]
-  SimTime plan_src2_ = kNever;
-  std::uint32_t plan_src_arg_ = 0;
   /// Exclusive stop bound of the current run_until() segment (kNever for
   /// a plain run()). Set before the workers start, cleared after they
   /// join, read inside via plan_round()/shard_horizon() only.
   SimTime run_bound_ = kNever;
-  std::atomic<bool> done_{false};
 
-  // Worker-0-only trace bookkeeping: the previous round's span is emitted
-  // one plan later, when its min horizon has been folded.
+  // Worker-0-only bookkeeping: the previous round's span is emitted one
+  // plan later, when its min horizon has been folded, and the cumulative
+  // messages track sums the published merge tallies.
   bool trace_prev_valid_ = false;
   SimTime trace_prev_floor_ = 0;
+  std::uint64_t merged_messages_ = 0;
 
   std::uint64_t windows_ = 0;
   std::uint64_t shard_windows_ = 0;

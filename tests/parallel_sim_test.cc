@@ -1,6 +1,7 @@
-// Tests for the sharded parallel simulation engine (sim/parallel.h):
-// per-thread lane FIFO + wraparound, the conservative post() contract, the
-// canonical window merge, and — the load-bearing property — byte-identical
+// Tests for the sharded parallel simulation engine (sim/parallel.h): the
+// conservative post() contract, the error contract, the canonical window
+// merge (including outbox bursts past the reserve), and — the
+// load-bearing property — byte-identical
 // determinism across --sim-threads 1, 2 and 8, both for a raw engine
 // workload and for a mixed UNIMEM+UNILOGIC workload on ShardedRuntime.
 #include <cstdint>
@@ -21,7 +22,6 @@
 #include "interconnect/network.h"
 #include "interconnect/topology.h"
 #include "runtime/sharded.h"
-#include "sim/mailbox.h"
 #include "sim/parallel.h"
 #include "unimem/pgas.h"
 
@@ -44,82 +44,6 @@ struct TraceHasher {
     mix(bits);
   }
 };
-
-// --- per-thread SPSC lane ---------------------------------------------------
-
-TEST(ShardLane, FifoAcrossRingWraparound) {
-  ShardLane lane(4);
-  ASSERT_EQ(lane.capacity(), 4u);
-  std::vector<int> got;
-  std::vector<ShardMessage> out;
-  // 32 push/drain rounds of 3 messages wrap the 4-slot ring many times.
-  for (int round = 0; round < 32; ++round) {
-    for (int i = 0; i < 3; ++i) {
-      const int v = round * 3 + i;
-      lane.push(static_cast<SimTime>(v), /*src=*/0, /*dst=*/1,
-                static_cast<std::uint64_t>(v),
-                [&got, v] { got.push_back(v); });
-    }
-    out.clear();
-    lane.drain(out);
-    ASSERT_EQ(out.size(), 3u);
-    for (auto& m : out) m.action();
-  }
-  EXPECT_TRUE(lane.empty());
-  EXPECT_EQ(lane.overflow_spills(), 0u);
-  ASSERT_EQ(got.size(), 96u);
-  for (int v = 0; v < 96; ++v) EXPECT_EQ(got[v], v);
-}
-
-TEST(ShardLane, OverflowSpillKeepsFifoOrder) {
-  ShardLane lane(4);
-  std::vector<int> got;
-  for (int v = 0; v < 10; ++v) {
-    lane.push(static_cast<SimTime>(v), 0, 1, static_cast<std::uint64_t>(v),
-              [&got, v] { got.push_back(v); });
-  }
-  EXPECT_GT(lane.overflow_spills(), 0u);
-  std::vector<ShardMessage> out;
-  lane.drain(out);
-  ASSERT_EQ(out.size(), 10u);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].seq, i);
-    out[i].action();
-  }
-  for (int v = 0; v < 10; ++v) EXPECT_EQ(got[v], v);
-  EXPECT_TRUE(lane.empty());
-}
-
-// Lanes are shared by every shard a thread runs: messages for different
-// (src, dst) pairs interleave in one ring and must come back tagged and in
-// push order — the merge sort relies on the tags, not the lane layout.
-TEST(ShardLane, InterleavedShardPairsStayTaggedAndOrdered) {
-  ShardLane lane(8);
-  struct Tag {
-    std::uint32_t src, dst;
-    std::uint64_t seq;
-  };
-  std::vector<Tag> pushed;
-  std::vector<std::uint64_t> next_seq(4, 0);
-  for (int i = 0; i < 21; ++i) {  // > capacity, so the tail spills too
-    const auto src = static_cast<std::uint32_t>(i % 3);
-    const auto dst = static_cast<std::uint32_t>(3 - i % 3);
-    const std::uint64_t seq = next_seq[src]++;
-    pushed.push_back(Tag{src, dst, seq});
-    lane.push(static_cast<SimTime>(100 + i), src, dst, seq, [] {});
-  }
-  EXPECT_GT(lane.overflow_spills(), 0u);
-  std::vector<ShardMessage> out;
-  lane.drain(out);
-  ASSERT_EQ(out.size(), pushed.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].time, static_cast<SimTime>(100 + i));
-    EXPECT_EQ(out[i].src, pushed[i].src);
-    EXPECT_EQ(out[i].dst, pushed[i].dst);
-    EXPECT_EQ(out[i].seq, pushed[i].seq);
-  }
-  EXPECT_TRUE(lane.empty());
-}
 
 // --- post() contract --------------------------------------------------------
 
@@ -155,6 +79,32 @@ TEST(ShardedSimulator, ActionExceptionPropagatesFromWorkerThreads) {
     throw std::runtime_error("shard 3 exploded");
   });
   EXPECT_THROW(engine.run(), std::runtime_error);
+}
+
+// The documented error contract: when several shards throw in the same
+// round, run() still returns on every thread and rethrows the lowest shard
+// id's exception.
+TEST(ShardedSimulator, LowestShardIdExceptionWinsAcrossThreads) {
+  ShardedConfig sc;
+  sc.shards = 4;
+  sc.lookahead = 10;
+  sc.threads = 4;
+  ShardedSimulator engine(sc);
+  for (std::size_t s = 0; s < 4; ++s) {
+    engine.shard(s).schedule_at(5, [] {});
+  }
+  engine.shard(3).schedule_at(7, [] {
+    throw std::runtime_error("shard 3 exploded");
+  });
+  engine.shard(1).schedule_at(7, [] {
+    throw std::runtime_error("shard 1 exploded");
+  });
+  try {
+    engine.run();
+    FAIL() << "run() swallowed the shard exceptions";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "shard 1 exploded");
+  }
 }
 
 // --- deterministic cross-shard workload -------------------------------------
@@ -200,14 +150,13 @@ struct MeshActor {
 };
 
 std::uint64_t mesh_workload_hash(std::size_t shards, std::size_t threads,
-                                 std::size_t mailbox_capacity,
                                  std::uint64_t fires_per_actor,
+                                 std::size_t burst = 0,
                                  std::uint64_t* spills_out = nullptr) {
   ShardedConfig sc;
   sc.shards = shards;
   sc.lookahead = 200;
   sc.threads = threads;
-  sc.mailbox_capacity = mailbox_capacity;
   ShardedSimulator engine(sc);
   std::vector<TraceHasher> hashes(shards);
   std::vector<std::unique_ptr<MeshActor>> actors;
@@ -224,6 +173,23 @@ std::uint64_t mesh_workload_hash(std::size_t shards, std::size_t threads,
       engine.shard(s).schedule_at(1 + a, [&actor] { actor.fire(); });
     }
   }
+  if (burst > 0) {
+    // One event on shard 0 posts `burst` messages in a single window,
+    // spread over every other shard with colliding delivery times.
+    ShardedSimulator* e = &engine;
+    TraceHasher* hs = hashes.data();
+    engine.shard(0).schedule_at(150, [e, hs, shards, burst] {
+      const SimTime now = e->shard(0).now();
+      for (std::size_t i = 0; i < burst; ++i) {
+        const std::size_t to = 1 + i % (shards - 1);
+        TraceHasher* dest = &hs[to];
+        e->post(0, to, now + e->lookahead() + i % 7, [e, to, dest, i] {
+          dest->mix(e->shard(to).now());
+          dest->mix(i);
+        });
+      }
+    });
+  }
   engine.run();
   TraceHasher combined;
   for (const TraceHasher& h : hashes) combined.mix(h.h);
@@ -236,23 +202,24 @@ std::uint64_t mesh_workload_hash(std::size_t shards, std::size_t threads,
 }
 
 TEST(ShardedSimulator, ByteIdenticalAcrossSimThreads1_2_8) {
-  const std::uint64_t h1 = mesh_workload_hash(8, 1, 1024, 400);
-  const std::uint64_t h2 = mesh_workload_hash(8, 2, 1024, 400);
-  const std::uint64_t h8 = mesh_workload_hash(8, 8, 1024, 400);
+  const std::uint64_t h1 = mesh_workload_hash(8, 1, 400);
+  const std::uint64_t h2 = mesh_workload_hash(8, 2, 400);
+  const std::uint64_t h8 = mesh_workload_hash(8, 8, 400);
   EXPECT_EQ(h1, h2);
   EXPECT_EQ(h1, h8);
 }
 
-// Window-boundary lane stress: a 4-slot ring under a message rate far
-// beyond it wraps its indices every window and overflows constantly; the
-// spill path must preserve the canonical merge exactly. Spill *counts* are
-// a wall-clock-side metric that varies with how many shards share a lane
-// (i.e. with the thread count), so only the hashes must match.
+// Outbox burst: one event posts more messages than an outbox reserves, so
+// the posting thread's outbox grows mid-window; the burst must still merge
+// canonically. Spill *counts* are a wall-clock-side metric that varies with
+// how many shards share an outbox (i.e. with the thread count), so only the
+// hashes must match.
 TEST(ShardedSimulator, MailboxWraparoundAtWindowBoundariesIsDeterministic) {
+  const std::size_t burst = ShardedSimulator::kOutboxReserve + 476;
   std::uint64_t spills1 = 0;
   std::uint64_t spills4 = 0;
-  const std::uint64_t h1 = mesh_workload_hash(4, 1, 4, 800, &spills1);
-  const std::uint64_t h4 = mesh_workload_hash(4, 4, 4, 800, &spills4);
+  const std::uint64_t h1 = mesh_workload_hash(4, 1, 800, burst, &spills1);
+  const std::uint64_t h4 = mesh_workload_hash(4, 4, 800, burst, &spills4);
   EXPECT_EQ(h1, h4);
   EXPECT_GT(spills1, 0u);
   EXPECT_GT(spills4, 0u);
@@ -697,7 +664,7 @@ struct NodeGenerator {
     hash->mix(st.finish);
     // Local work for this node's scheduler / UNILOGIC pool.
     for (int i = 0; i < 2; ++i) rt->submit(node, make_task(sim.now()));
-    // One cross-node forward through the SPSC mailboxes.
+    // One cross-node forward through the engine outboxes.
     if (nodes > 1) {
       const std::size_t to = (node + 1 + rng.uniform_u64(nodes - 1)) % nodes;
       rt->post_task(node, to, make_task(0));
