@@ -4,6 +4,7 @@
 // load-bearing property — byte-identical
 // determinism across --sim-threads 1, 2 and 8, both for a raw engine
 // workload and for a mixed UNIMEM+UNILOGIC workload on ShardedRuntime.
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -104,6 +105,117 @@ TEST(ShardedSimulator, LowestShardIdExceptionWinsAcrossThreads) {
     FAIL() << "run() swallowed the shard exceptions";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "shard 1 exploded");
+  }
+}
+
+// --- canonical merge order --------------------------------------------------
+
+// One delivery as the destination saw it: its clock, the posting shard and
+// that shard's post index.
+struct Delivery {
+  SimTime time;
+  std::size_t src;
+  std::size_t index;
+  bool operator==(const Delivery& o) const {
+    return time == o.time && src == o.src && index == o.index;
+  }
+};
+
+// Seven shards each post 300 messages to shard 0, all for the same
+// delivery time, in one round. Equal-time events run in insertion order, so
+// shard 0 must see them by source shard, then post order — whichever thread
+// ran each source. 2100 posts also overrun an outbox reserve at 1 thread.
+TEST(ShardedSimulator, SameTimeMessagesDeliverBySourceThenPostOrder) {
+  constexpr std::size_t kShards = 8;
+  constexpr std::size_t kPerSource = 300;
+  constexpr SimTime kDeliver = 500;
+  std::vector<Delivery> expected;
+  for (std::size_t s = 1; s < kShards; ++s) {
+    for (std::size_t i = 0; i < kPerSource; ++i) {
+      expected.push_back(Delivery{kDeliver, s, i});
+    }
+  }
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(threads);
+    ShardedConfig sc;
+    sc.shards = kShards;
+    sc.lookahead = 100;
+    sc.threads = threads;
+    ShardedSimulator engine(sc);
+    std::vector<Delivery> got;
+    ShardedSimulator* e = &engine;
+    std::vector<Delivery>* sink = &got;
+    for (std::size_t s = 1; s < kShards; ++s) {
+      engine.shard(s).schedule_at(10, [e, sink, s] {
+        for (std::size_t i = 0; i < kPerSource; ++i) {
+          e->post(s, 0, kDeliver, [e, sink, s, i] {
+            sink->push_back(Delivery{e->shard(0).now(), s, i});
+          });
+        }
+      });
+    }
+    engine.run();
+    EXPECT_EQ(engine.messages(), expected.size());
+    EXPECT_TRUE(got == expected);
+    if (threads == 1) {
+      EXPECT_GT(engine.mailbox_spills(), 0u);
+    }
+  }
+}
+
+// Every shard posts to its three peers with interleaved destinations and
+// out-of-order delivery times, so each outbox holds many (src, dst) pairs
+// unsorted. Every destination must receive exactly its own messages, at
+// their delivery times, ordered by (time, source shard, post order).
+TEST(ShardedSimulator, InterleavedPairsDeliverInTimeSourceSeqOrder) {
+  constexpr std::size_t kShards = 4;
+  constexpr std::size_t kPosts = 40;
+  auto dest_of = [](std::size_t s, std::size_t i) {
+    return (s + 1 + i % (kShards - 1)) % kShards;
+  };
+  auto time_of = [](std::size_t s, std::size_t i) {
+    return static_cast<SimTime>(200 + ((kPosts - i) * 3 + s) % 5 * 10);
+  };
+  std::vector<std::vector<Delivery>> expected(kShards);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    for (std::size_t i = 0; i < kPosts; ++i) {
+      expected[dest_of(s, i)].push_back(Delivery{time_of(s, i), s, i});
+    }
+  }
+  for (auto& list : expected) {
+    std::sort(list.begin(), list.end(),
+              [](const Delivery& a, const Delivery& b) {
+                if (a.time != b.time) return a.time < b.time;
+                if (a.src != b.src) return a.src < b.src;
+                return a.index < b.index;
+              });
+  }
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    ShardedConfig sc;
+    sc.shards = kShards;
+    sc.lookahead = 100;
+    sc.threads = threads;
+    ShardedSimulator engine(sc);
+    // Each list is written only by its own destination shard's actions.
+    std::vector<std::vector<Delivery>> got(kShards);
+    ShardedSimulator* e = &engine;
+    std::vector<Delivery>* sinks = got.data();
+    for (std::size_t s = 0; s < kShards; ++s) {
+      engine.shard(s).schedule_at(10, [e, sinks, dest_of, time_of, s] {
+        for (std::size_t i = 0; i < kPosts; ++i) {
+          const std::size_t to = dest_of(s, i);
+          e->post(s, to, time_of(s, i), [e, sinks, to, s, i] {
+            sinks[to].push_back(Delivery{e->shard(to).now(), s, i});
+          });
+        }
+      });
+    }
+    engine.run();
+    EXPECT_EQ(engine.messages(), kShards * kPosts);
+    for (std::size_t d = 0; d < kShards; ++d) {
+      EXPECT_TRUE(got[d] == expected[d]) << "destination " << d;
+    }
   }
 }
 
