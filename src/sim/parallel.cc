@@ -1,8 +1,11 @@
 #include "sim/parallel.h"
 
 #include <algorithm>
-#include <barrier>
 #include <thread>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "common/reduce.h"
 #include "common/rng.h"
@@ -10,13 +13,70 @@
 
 namespace ecoscale {
 
+/// The round barrier. A waiter polls the generation word for up to
+/// `spins_` pauses, then yields its core kYields times, then parks on the
+/// word. Rounds are microseconds apart, so the poll catches almost every
+/// crossing without a syscall. The poll budget adapts per crossing: halved
+/// (down to kMinSpins) after one that some waiter outlasted — an
+/// oversubscribed host, where polling only delays the late thread — and
+/// doubled (up to kMaxSpins) after one that every waiter caught.
 class RoundGate {
  public:
-  explicit RoundGate(std::ptrdiff_t n) : barrier_(n) {}
-  void sync() { barrier_.arrive_and_wait(); }
+  explicit RoundGate(std::uint32_t n) : n_(n) {}
+
+  void sync() {
+    const std::uint32_t gen = generation_.load(std::memory_order_acquire);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
+      // Reset before the bump: no thread re-arrives until it sees the bump.
+      arrived_.store(0, std::memory_order_relaxed);
+      const std::uint32_t spins = spins_.load(std::memory_order_relaxed);
+      spins_.store(late_.exchange(0, std::memory_order_relaxed) != 0
+                       ? std::max(kMinSpins, spins / 2)
+                       : std::min(kMaxSpins, spins * 2),
+                   std::memory_order_relaxed);
+      // Dekker pair with a parking waiter: each side stores, then loads,
+      // all seq_cst, so either this load sees the waiter's announcement or
+      // the waiter's re-check sees the new generation. No wake-up is lost.
+      generation_.store(gen + 1, std::memory_order_seq_cst);
+      if (parked_.load(std::memory_order_seq_cst) != 0) {
+        generation_.notify_all();
+      }
+      return;
+    }
+    const std::uint32_t spins = spins_.load(std::memory_order_relaxed);
+    for (std::uint32_t i = 0; i < spins; ++i) {
+      if (generation_.load(std::memory_order_acquire) != gen) return;
+#if defined(__x86_64__) || defined(__i386__)
+      __builtin_ia32_pause();
+#endif
+    }
+    late_.fetch_add(1, std::memory_order_relaxed);
+    for (std::uint32_t i = 0; i < kYields; ++i) {
+      if (generation_.load(std::memory_order_acquire) != gen) return;
+      std::this_thread::yield();
+    }
+    parked_.fetch_add(1, std::memory_order_seq_cst);
+    while (generation_.load(std::memory_order_seq_cst) == gen) {
+      generation_.wait(gen, std::memory_order_seq_cst);
+    }
+    parked_.fetch_sub(1, std::memory_order_relaxed);
+  }
 
  private:
-  std::barrier<> barrier_;
+  // Wait budgets, chosen by the sweep recorded in CHANGES.md (a pause is
+  // ~20 ns on the 4-vCPU Xeon it was measured on).
+  static constexpr std::uint32_t kMaxSpins = 4096;
+  static constexpr std::uint32_t kMinSpins = 64;
+  static constexpr std::uint32_t kYields = 8;
+
+  const std::uint32_t n_;
+  // Written once per arrival (and by late waiters); read by the last one.
+  alignas(64) std::atomic<std::uint32_t> arrived_{0};
+  std::atomic<std::uint32_t> spins_{kMaxSpins};
+  std::atomic<std::uint32_t> late_{0};
+  // The line waiters poll; written once per crossing.
+  alignas(64) std::atomic<std::uint32_t> generation_{0};
+  std::atomic<std::uint32_t> parked_{0};
 };
 
 namespace {
@@ -39,6 +99,36 @@ struct ParTraceNames {
 /// Orchestrator lane: distinct tid under the simulation pid, away from the
 /// per-shard lanes (shard s traces on tid s + 1; plain Simulators on 0).
 constexpr std::uint16_t kEngineTid = 0xFFF0;
+
+// Linux starts a new thread on its spawner's CPU, and a thread that polls
+// the gate seldom sleeps, so is seldom placed again: a pool spawned in one
+// burst can share one core for the engine's whole life. Each worker
+// therefore moves itself once, to the k-th CPU of its affinity mask, and
+// restores the mask. A parked waiter wakes where it slept when that core
+// is idle, so the spread holds.
+#if defined(__linux__)
+std::size_t current_cpu() {
+  const int cpu = sched_getcpu();
+  return cpu < 0 ? 0 : static_cast<std::size_t>(cpu);
+}
+void start_on_cpu(std::size_t k) {
+  cpu_set_t mask;
+  if (sched_getaffinity(0, sizeof mask, &mask) != 0) return;
+  k %= static_cast<std::size_t>(CPU_COUNT(&mask));
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &mask) || k-- != 0) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    sched_setaffinity(0, sizeof one, &one);
+    break;
+  }
+  sched_setaffinity(0, sizeof mask, &mask);
+}
+#else
+std::size_t current_cpu() { return 0; }
+void start_on_cpu(std::size_t) {}
+#endif
 
 /// Which shard (of which engine) the current thread is executing a window
 /// for, and the outbox it posts into; post() validates its `from` argument
@@ -224,7 +314,12 @@ ShardedSimulator::ShardedSimulator(ShardedConfig config)
   }
 }
 
-ShardedSimulator::~ShardedSimulator() = default;
+ShardedSimulator::~ShardedSimulator() {
+  if (!gate_) return;
+  stop_ = true;
+  gate_->sync();  // releases the workers parked between segments
+  for (std::thread& w : workers_) w.join();
+}
 
 SimDuration ShardedSimulator::pair_lookahead(std::size_t from,
                                              std::size_t to) const {
@@ -484,14 +579,28 @@ void ShardedSimulator::drive(std::size_t tid, RoundGate* gate) {
 }
 
 void ShardedSimulator::run_parallel() {
-  RoundGate gate(static_cast<std::ptrdiff_t>(threads_));
-  std::vector<std::thread> pool;
-  pool.reserve(threads_ - 1);
-  for (std::size_t t = 1; t < threads_; ++t) {
-    pool.emplace_back([this, t, &gate] { drive(t, &gate); });
+  if (!gate_) {
+    // Spawned by the first parallel segment, not at construction, and kept
+    // for the engine's lifetime: a later segment costs two gate crossings,
+    // not threads-1 spawns and joins.
+    gate_ = std::make_unique<RoundGate>(static_cast<std::uint32_t>(threads_));
+    const std::size_t home = current_cpu();
+    workers_.reserve(threads_ - 1);
+    for (std::size_t t = 1; t < threads_; ++t) {
+      workers_.emplace_back([this, t, home] {
+        start_on_cpu(home + t);
+        for (;;) {
+          gate_->sync();  // a segment starts, or the destructor stops us
+          if (stop_) return;
+          drive(t, gate_.get());
+          gate_->sync();
+        }
+      });
+    }
   }
-  drive(0, &gate);  // the calling thread is worker 0
-  for (auto& t : pool) t.join();
+  gate_->sync();  // segment start: run_bound_ and the seeded plan are set
+  drive(0, gate_.get());  // the calling thread is worker 0
+  gate_->sync();  // segment end: no worker reads engine state any more
 }
 
 void ShardedSimulator::run() { run_until(kNever); }

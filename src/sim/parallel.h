@@ -56,6 +56,19 @@
 // counter travel with the shard, and the merge key orders messages
 // independently of the outbox they rode.
 //
+// Workers and gates: the calling thread is worker 0; the other threads
+// are spawned by the first parallel run_until() and live as long as the
+// engine, waiting at the same gate between segments (a segment costs a
+// start and an end crossing, not a spawn and join per thread). A gate
+// crossing waits in three stages: poll the generation word with pause
+// instructions (most rounds are microseconds long, so this catches nearly
+// every crossing without a syscall), yield the core a few times, then
+// park on the word. The poll budget halves after a crossing some waiter
+// outlasted and doubles after one every waiter caught, so an
+// oversubscribed host parks almost at once while a dedicated one polls.
+// Each worker starts on its own CPU (the spawner's plus its index): Linux
+// starts a thread on its spawner's CPU and seldom moves one that polls.
+//
 // Merging: post() appends to the executing thread's own outbox, a plain
 // vector only its owner writes. In the exchange phase each thread takes,
 // from every outbox, the messages addressed to its own contiguous shard
@@ -85,6 +98,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -108,8 +122,8 @@ struct ShardMessage {
   InlineAction action;
 };
 
-/// Thin wrapper over std::barrier<> (defined in parallel.cc so includers
-/// don't pull in <barrier>). Null gate = sequential run, no waiting.
+/// The spin-then-park round barrier (defined in parallel.cc). Null gate =
+/// sequential run, no waiting.
 class RoundGate;
 
 struct ShardedConfig {
@@ -155,7 +169,10 @@ class ShardedSimulator {
   static constexpr std::size_t kOutboxReserve = 1024;
 
   explicit ShardedSimulator(ShardedConfig config);
+  /// Joins the worker pool (pool threads hold `this`: no copy or move).
   ~ShardedSimulator();
+  ShardedSimulator(const ShardedSimulator&) = delete;
+  ShardedSimulator& operator=(const ShardedSimulator&) = delete;
 
   std::size_t shard_count() const { return shards_.size(); }
   SimDuration lookahead() const { return config_.lookahead; }
@@ -367,6 +384,14 @@ class ShardedSimulator {
   std::uint64_t shard_windows_ = 0;
   std::uint64_t stalled_windows_ = 0;
   std::uint64_t steals_ = 0;
+
+  // Worker pool, spawned by the first parallel run_until() and joined by
+  // the destructor. `stop_` is written before a gate crossing and read
+  // after it, so the gate orders it. Declared last: the workers use
+  // everything above.
+  std::unique_ptr<RoundGate> gate_;
+  std::vector<std::thread> workers_;
+  bool stop_ = false;
 };
 
 }  // namespace ecoscale

@@ -1,16 +1,19 @@
 // Tests for the sharded parallel simulation engine (sim/parallel.h): the
 // conservative post() contract, the error contract, the canonical window
-// merge (including outbox bursts past the reserve), and — the
-// load-bearing property — byte-identical
-// determinism across --sim-threads 1, 2 and 8, both for a raw engine
-// workload and for a mixed UNIMEM+UNILOGIC workload on ShardedRuntime.
+// merge (including outbox bursts past the reserve), the round gate's
+// parked path and the worker pool's lifecycle, and — the load-bearing
+// property — byte-identical determinism across --sim-threads 1, 2 and 8,
+// both for a raw engine workload and for a mixed UNIMEM+UNILOGIC workload
+// on ShardedRuntime.
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <numeric>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -261,16 +264,12 @@ struct MeshActor {
   }
 };
 
-std::uint64_t mesh_workload_hash(std::size_t shards, std::size_t threads,
-                                 std::uint64_t fires_per_actor,
-                                 std::size_t burst = 0,
-                                 std::uint64_t* spills_out = nullptr) {
-  ShardedConfig sc;
-  sc.shards = shards;
-  sc.lookahead = 200;
-  sc.threads = threads;
-  ShardedSimulator engine(sc);
-  std::vector<TraceHasher> hashes(shards);
+// Four MeshActors per shard, each running `fires_per_actor` fires from its
+// own seed. The actors must outlive the engine's run.
+std::vector<std::unique_ptr<MeshActor>> seed_mesh(
+    ShardedSimulator& engine, std::vector<TraceHasher>& hashes,
+    std::uint64_t fires_per_actor) {
+  const std::size_t shards = engine.shard_count();
   std::vector<std::unique_ptr<MeshActor>> actors;
   for (std::size_t s = 0; s < shards; ++s) {
     for (int a = 0; a < 4; ++a) {
@@ -285,6 +284,32 @@ std::uint64_t mesh_workload_hash(std::size_t shards, std::size_t threads,
       engine.shard(s).schedule_at(1 + a, [&actor] { actor.fire(); });
     }
   }
+  return actors;
+}
+
+// The per-shard hashes folded with the engine's deterministic counters.
+std::uint64_t mesh_fingerprint(const ShardedSimulator& engine,
+                               const std::vector<TraceHasher>& hashes) {
+  TraceHasher combined;
+  for (const TraceHasher& h : hashes) combined.mix(h.h);
+  combined.mix(engine.events_processed());
+  combined.mix(engine.messages());
+  combined.mix(engine.windows());
+  EXPECT_GT(engine.messages(), 0u);
+  return combined.h;
+}
+
+std::uint64_t mesh_workload_hash(std::size_t shards, std::size_t threads,
+                                 std::uint64_t fires_per_actor,
+                                 std::size_t burst = 0,
+                                 std::uint64_t* spills_out = nullptr) {
+  ShardedConfig sc;
+  sc.shards = shards;
+  sc.lookahead = 200;
+  sc.threads = threads;
+  ShardedSimulator engine(sc);
+  std::vector<TraceHasher> hashes(shards);
+  const auto actors = seed_mesh(engine, hashes, fires_per_actor);
   if (burst > 0) {
     // One event on shard 0 posts `burst` messages in a single window,
     // spread over every other shard with colliding delivery times.
@@ -303,14 +328,8 @@ std::uint64_t mesh_workload_hash(std::size_t shards, std::size_t threads,
     });
   }
   engine.run();
-  TraceHasher combined;
-  for (const TraceHasher& h : hashes) combined.mix(h.h);
-  combined.mix(engine.events_processed());
-  combined.mix(engine.messages());
-  combined.mix(engine.windows());
   if (spills_out != nullptr) *spills_out = engine.mailbox_spills();
-  EXPECT_GT(engine.messages(), 0u);
-  return combined.h;
+  return mesh_fingerprint(engine, hashes);
 }
 
 TEST(ShardedSimulator, ByteIdenticalAcrossSimThreads1_2_8) {
@@ -985,6 +1004,113 @@ TEST(ShardedSimulator, SegmentedRunsAreByteIdenticalAcrossThreads) {
   const std::uint64_t h8 = segmented_run_hash(8);
   EXPECT_EQ(h1, h2);
   EXPECT_EQ(h1, h8);
+}
+
+// --- the round gate's parked path and the worker pool's lifecycle ----------
+
+// The mesh plus a sleeper on the last shard that blocks its host thread for
+// 2 ms on every fire — far past the gate's spin and yield budgets — and
+// fires every 150 ticks, inside every window that shard runs (its horizon
+// is at least the 200-tick lookahead past the floor). Every other thread
+// therefore parks at the gate in almost every round; a lost wake-up hangs
+// the run instead of changing the hash.
+std::uint64_t sleepy_mesh_hash(std::size_t threads) {
+  constexpr std::size_t kShards = 8;
+  ShardedConfig sc;
+  sc.shards = kShards;
+  sc.lookahead = 200;
+  sc.threads = threads;
+  ShardedSimulator engine(sc);
+  std::vector<TraceHasher> hashes(kShards);
+  const auto actors = seed_mesh(engine, hashes, 40);
+  struct Sleeper {
+    Simulator* sim;
+    TraceHasher* hash;
+    int left;
+    void fire() {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      hash->mix(sim->now());
+      if (left-- > 0) sim->schedule_after(150, [this] { fire(); });
+    }
+  };
+  Sleeper sleeper{&engine.shard(kShards - 1), &hashes[kShards - 1], 12};
+  engine.shard(kShards - 1).schedule_at(5, [&sleeper] { sleeper.fire(); });
+  engine.run();
+  EXPECT_EQ(sleeper.left, -1);
+  return mesh_fingerprint(engine, hashes);
+}
+
+TEST(ShardedSimulator, ParkedGateWaitersWakeEveryRound) {
+  const std::uint64_t h1 = sleepy_mesh_hash(1);
+  EXPECT_EQ(sleepy_mesh_hash(2), h1);
+  EXPECT_EQ(sleepy_mesh_hash(4), h1);
+  EXPECT_EQ(sleepy_mesh_hash(8), h1);  // oversubscribes a 4-core host
+}
+
+// One engine, 200 run_until() segments, with the controller folding shard
+// state into the hash and scheduling an event at every pause: the same
+// workers serve every segment, and each segment must still be the same
+// consistent cut a single thread takes.
+std::uint64_t many_segments_hash(std::size_t threads) {
+  constexpr std::size_t kShards = 8;
+  constexpr int kSegments = 200;
+  ShardedConfig sc;
+  sc.shards = kShards;
+  sc.lookahead = 200;
+  sc.threads = threads;
+  ShardedSimulator engine(sc);
+  std::vector<TraceHasher> hashes(kShards);
+  const auto actors = seed_mesh(engine, hashes, 500);
+  TraceHasher controller;
+  SimTime bound = 0;
+  for (int i = 0; i < kSegments; ++i) {
+    EXPECT_FALSE(engine.run_until(bound += 60));
+    const std::size_t s = static_cast<std::size_t>(i) % kShards;
+    controller.mix(engine.shard(s).now());
+    controller.mix(hashes[s].h);
+    TraceHasher* dest = &hashes[s];
+    Simulator* sim = &engine.shard(s);
+    sim->schedule_at(bound, [sim, dest] { dest->mix(sim->now()); });
+  }
+  engine.run();
+  controller.mix(mesh_fingerprint(engine, hashes));
+  return controller.h;
+}
+
+TEST(ShardedSimulator, TwoHundredSegmentsOnOnePoolMatchOneThread) {
+  EXPECT_EQ(many_segments_hash(4), many_segments_hash(1));
+}
+
+// The destructor stops and joins the pool from every state an engine can
+// be left in; a worker that misses the stop hangs the test.
+TEST(ShardedSimulator, PoolShutsDownFromEveryEngineState) {
+  const auto make = [] {
+    ShardedConfig sc;
+    sc.shards = 4;
+    sc.lookahead = 10;
+    sc.threads = 4;
+    return std::make_unique<ShardedSimulator>(sc);
+  };
+  { auto idle = make(); }  // never ran: no pool was spawned
+  {
+    auto engine = make();
+    for (std::size_t s = 0; s < 4; ++s) {
+      engine->shard(s).schedule_at(5 + s, [] {});
+    }
+    engine->shard(1).schedule_at(500, [] {});
+    EXPECT_FALSE(engine->run_until(100));  // paused with work pending
+    engine->run();
+  }
+  {
+    auto engine = make();
+    for (std::size_t s = 0; s < 4; ++s) {
+      engine->shard(s).schedule_at(5, [] {});
+    }
+    engine->shard(2).schedule_at(7, [] {
+      throw std::runtime_error("shard 2 exploded");
+    });
+    EXPECT_THROW(engine->run(), std::runtime_error);
+  }
 }
 
 TEST(ShardedRuntime, ForwardedTasksPayTheInterNodeLatency) {

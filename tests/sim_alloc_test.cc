@@ -252,10 +252,10 @@ TEST(SimulatorAllocation, TracedPgasAndNetworkLoopsStayAllocationFree) {
 
 // Cross-posting actor for the multi-threaded engine: self-reschedules on
 // its own shard and sends every fourth fire to its ring neighbor. All
-// captures fit InlineAction's inline buffer, the mailbox ring is sized so
-// nothing spills, and the merge scratch is pre-reserved from lane
-// capacities at run() entry — so once warm, a window (claim, execute,
-// drain, tree-merge, insert, fold) must not allocate at all.
+// captures fit InlineAction's inline buffer, no outbox grows past its
+// reserve, and the inbox scratch is reserved at construction — so once
+// warm, a round (plan, claim, execute, gate, gather, sort, insert, fold,
+// gate) must not allocate at all.
 struct ShardPumpActor {
   ShardedSimulator* eng = nullptr;
   std::size_t shard = 0;
@@ -282,26 +282,38 @@ struct ShardPumpActor {
   }
 };
 
-std::uint64_t sharded_run_allocs(std::uint64_t fires_per_actor) {
-  const std::uint64_t before = g_allocations.load();
-  ShardedConfig sc;
-  sc.shards = 8;
-  sc.lookahead = 200;
-  sc.threads = 4;  // the promise must hold with --sim-threads > 1
-  ShardedSimulator engine(sc);
-  EXPECT_EQ(engine.threads_used(), 4u);
+// Eight shards of ShardPumpActors on a 4-thread engine, each actor good for
+// `fires_per_actor` fires.
+struct ShardPump {
+  ShardedSimulator engine{[] {
+    ShardedConfig sc;
+    sc.shards = 8;
+    sc.lookahead = 200;
+    sc.threads = 4;  // the promise must hold with --sim-threads > 1
+    return sc;
+  }()};
   std::array<std::uint64_t, 8> sinks{};
   std::array<ShardPumpActor, 8> actors;
-  for (std::size_t s = 0; s < 8; ++s) {
-    actors[s].eng = &engine;
-    actors[s].shard = s;
-    actors[s].shards = 8;
-    actors[s].left = fires_per_actor;
-    actors[s].sinks = sinks.data();
-    ShardPumpActor* a = &actors[s];
-    engine.shard(s).schedule_at(static_cast<SimTime>(1 + s),
-                                [a] { a->fire(); });
+
+  explicit ShardPump(std::uint64_t fires_per_actor) {
+    EXPECT_EQ(engine.threads_used(), 4u);
+    for (std::size_t s = 0; s < 8; ++s) {
+      actors[s].eng = &engine;
+      actors[s].shard = s;
+      actors[s].shards = 8;
+      actors[s].left = fires_per_actor;
+      actors[s].sinks = sinks.data();
+      ShardPumpActor* a = &actors[s];
+      engine.shard(s).schedule_at(static_cast<SimTime>(1 + s),
+                                  [a] { a->fire(); });
+    }
   }
+};
+
+std::uint64_t sharded_run_allocs(std::uint64_t fires_per_actor) {
+  const std::uint64_t before = g_allocations.load();
+  ShardPump pump(fires_per_actor);
+  ShardedSimulator& engine = pump.engine;
   engine.run();
   EXPECT_EQ(engine.mailbox_spills(), 0u)
       << "an outbox grew past its reserve; growth allocates and voids the "
@@ -311,8 +323,8 @@ std::uint64_t sharded_run_allocs(std::uint64_t fires_per_actor) {
 }
 
 TEST(SimulatorAllocation, ShardedEngineWindowsAreAllocationFreeOnceWarm) {
-  // Per-run costs (engine construction, scratch reservations, std::thread
-  // state for threads-1 workers, event-slab warm-up) are identical for
+  // Per-engine costs (construction, scratch reservations, the worker pool
+  // spawned by the first run, event-slab warm-up) are identical for
   // identical configs, so running 4x the windows must allocate exactly as
   // much as running 1x — anything per-window shows up as the difference.
   sharded_run_allocs(2000);  // warm process-wide pools and TLS once
@@ -320,6 +332,29 @@ TEST(SimulatorAllocation, ShardedEngineWindowsAreAllocationFreeOnceWarm) {
   const std::uint64_t scaled = sharded_run_allocs(8000);
   EXPECT_EQ(scaled, base)
       << "the parallel engine allocated per window in steady state";
+}
+
+TEST(SimulatorAllocation, ShardedSegmentsAreAllocationFreeOnceWarm) {
+  // The repartitioner's epoch loop: one engine paused and resumed by
+  // run_until(). The worker pool outlives every segment, so once warm,
+  // k segments and 4k segments must allocate the same — a per-segment
+  // cost (such as spawning the workers again) shows up as the difference.
+  ShardPump pump(100000);
+  ShardedSimulator& engine = pump.engine;
+  SimTime bound = 0;
+  const auto segments = [&](int k) {
+    const std::uint64_t before = g_allocations.load();
+    for (int i = 0; i < k; ++i) {
+      EXPECT_FALSE(engine.run_until(bound += 500));
+    }
+    return g_allocations.load() - before;
+  };
+  segments(50);  // warm: pool, slabs, TLS
+  const std::uint64_t base = segments(25);
+  const std::uint64_t scaled = segments(100);
+  EXPECT_EQ(scaled, base)
+      << "the parallel engine allocated per run_until() segment";
+  EXPECT_EQ(engine.mailbox_spills(), 0u);
 }
 
 TEST(SimulatorAllocation, ColdStartAllocatesOnlyStorageGrowth) {
