@@ -173,6 +173,7 @@ struct LaneRun {
   double msgs_per_sec = 0.0;
   std::uint64_t hash = 0;
   double wall_s = 0.0;
+  std::uint64_t parallel_rounds = 0;  // rounds run on the worker pool
 };
 
 LaneRun lane_throughput(std::size_t shards, std::size_t threads,
@@ -204,6 +205,7 @@ LaneRun lane_throughput(std::size_t shards, std::size_t threads,
   run.wall_s = std::chrono::duration<double>(Clock::now() - start).count();
   run.messages = engine.messages();
   run.spills = engine.mailbox_spills();
+  run.parallel_rounds = engine.parallel_rounds();
   run.msgs_per_sec = static_cast<double>(run.messages) / run.wall_s;
   run.hash = 1469598103934665603ull;
   for (const std::uint64_t h : hashes) {
@@ -312,6 +314,12 @@ int main(int argc, char** argv) {
     std::cerr << "FATAL: lane message count depends on thread count\n";
     return 1;
   }
+  // ~1,150 events a round: at more than one thread, the stretch policy must
+  // hand this run to the worker pool.
+  if (bench::sim_threads() > 1 && par.parallel_rounds == 0) {
+    std::cerr << "FATAL: the lanes run took no parallel round\n";
+    return 1;
+  }
 
   // --- machine-readable summary -------------------------------------------
   std::cout << "SCALE_JSON {"
@@ -323,6 +331,7 @@ int main(int argc, char** argv) {
             << ", \"route_ns_implicit_64\": " << implicit_ns
             << ", \"lane_msgs_per_sec\": " << par.msgs_per_sec
             << ", \"lane_hash_match\": " << (seq.hash == par.hash ? 1 : 0)
+            << ", \"lane_parallel_rounds\": " << par.parallel_rounds
             << "}\n";
   return 0;
 }

@@ -139,6 +139,7 @@ struct ShardedMeshResult {
   std::uint64_t shard_windows = 0;  // per-shard executions across rounds
   std::uint64_t stalled = 0;        // skipped shard-windows (barrier stall)
   std::uint64_t steals = 0;         // cross-thread claims (wall-clock-side)
+  std::uint64_t parallel_rounds = 0;  // rounds run on the worker pool
 };
 
 /// Cross-posting actor mesh on the ShardedSimulator: per-shard
@@ -209,6 +210,7 @@ ShardedMeshResult sharded_mesh(std::size_t shards, std::size_t threads,
   r.shard_windows = engine.shard_windows();
   r.stalled = engine.stalled_shard_windows();
   r.steals = engine.steals();
+  r.parallel_rounds = engine.parallel_rounds();
   ShardHash combined;
   for (const auto& h : hashes) combined.mix(h.h);
   combined.mix(r.events);
@@ -226,6 +228,7 @@ struct ImbalancedMeshResult {
   std::uint64_t shard_windows = 0;   // per-shard window executions
   std::uint64_t stalled = 0;         // shard-windows skipped (no work)
   std::uint64_t steals = 0;          // wall-clock-side, not hashed
+  std::uint64_t parallel_rounds = 0;  // rounds run on the worker pool
   std::uint64_t messages = 0;
   std::uint64_t hash = 0;
   std::size_t threads = 0;
@@ -332,6 +335,7 @@ ImbalancedMeshResult imbalanced_mesh(std::size_t threads) {
   r.shard_windows = engine.shard_windows();
   r.stalled = engine.stalled_shard_windows();
   r.steals = engine.steals();
+  r.parallel_rounds = engine.parallel_rounds();
   r.messages = engine.messages();
   r.threads = engine.threads_used();
   ShardHash combined;
@@ -465,6 +469,12 @@ int main(int argc, char** argv) {
     std::cerr << "FATAL: sharded engine hash mismatch across thread counts\n";
     return 1;
   }
+  // Hundreds of events a round on every shard: a stretch policy that never
+  // hands this mesh to the worker pool has stopped using threads at all.
+  if (par.threads > 1 && par.parallel_rounds == 0) {
+    std::cerr << "FATAL: the balanced mesh ran no round in parallel\n";
+    return 1;
+  }
 
   // --- imbalanced topology: per-shard horizons ---------------------------
   // 1 hot shard + 63 periodic-burst cold shards, run sequentially and at
@@ -539,11 +549,13 @@ int main(int argc, char** argv) {
             << 100.0 * static_cast<double>(par.stalled) /
                    static_cast<double>(par.shard_windows + par.stalled)
             << ", \"sharded_steals\": " << par.steals
+            << ", \"sharded_parallel_rounds\": " << par.parallel_rounds
             << ", \"imb_adaptive_speedup\": " << ada_speedup
             << ", \"imb_adaptive_stall_pct\": "
             << 100.0 * ada_seq.stall_frac()
             << ", \"imb_rounds_adaptive\": " << ada_seq.rounds
             << ", \"imb_steals\": " << ada_par.steals
+            << ", \"imb_parallel_rounds\": " << ada_par.parallel_rounds
             << ", \"imb_hash_match\": " << (imb_hashes_match ? 1 : 0)
             << "}\n";
   return 0;

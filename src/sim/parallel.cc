@@ -181,6 +181,8 @@ ShardedSimulator::ShardedSimulator(ShardedConfig config)
     threads = hw > 0 ? hw : 1;
   }
   threads_ = std::min(threads, config_.shards);
+  pinned_parallel_ = pin_new_engines_;
+  parallel_ = pinned_parallel_ && threads_ > 1;
   const std::size_t nshards = config_.shards;
   shards_.reserve(nshards);
   for (std::size_t s = 0; s < nshards; ++s) {
@@ -315,9 +317,10 @@ ShardedSimulator::ShardedSimulator(ShardedConfig config)
 }
 
 ShardedSimulator::~ShardedSimulator() {
+  if (pinned_parallel_) pinned_parallel_rounds_ += parallel_rounds_;
   if (!gate_) return;
   stop_ = true;
-  gate_->sync();  // releases the workers parked between segments
+  gate_->sync();  // releases the workers parked between stretches
   for (std::thread& w : workers_) w.join();
 }
 
@@ -416,11 +419,10 @@ void ShardedSimulator::prepare_run() {
   }
 }
 
-void ShardedSimulator::fold_range(std::size_t tid) {
-  WorkerSlot& me = *slots_[tid];
-  const std::size_t nshards = shards_.size();
-  const std::size_t lo = tid * nshards / threads_;
-  const std::size_t hi = (tid + 1) * nshards / threads_;
+void ShardedSimulator::fold_range(std::size_t slot) {
+  WorkerSlot& me = *slots_[slot];
+  const std::size_t lo = range_begin(slot);
+  const std::size_t hi = range_begin(slot + 1);
   me.queue.clear();
   me.part_floor = kNever;
   me.part_src1 = kNever;
@@ -437,6 +439,21 @@ void ShardedSimulator::fold_range(std::size_t tid) {
               me.part_src1, me.part_src2, me.part_src_arg);
   }
   me.cursor.store(0, std::memory_order_relaxed);
+}
+
+ShardedSimulator::RoundTally ShardedSimulator::published_tally() const {
+  RoundTally sum;
+  for (const auto& slot : slots_) {
+    const RoundTally& t = slot->tally;
+    sum.executed += t.executed;
+    sum.stalled += t.stalled;
+    sum.stolen += t.stolen;
+    sum.merged += t.merged;
+    sum.events += t.events;
+    sum.max_window = std::max(sum.max_window, t.max_window);
+    sum.min_horizon = std::min(sum.min_horizon, t.min_horizon);
+  }
+  return sum;
 }
 
 ShardedSimulator::RoundPlan ShardedSimulator::plan_round(std::size_t tid) {
@@ -458,21 +475,18 @@ ShardedSimulator::RoundPlan ShardedSimulator::plan_round(std::size_t tid) {
   plan.done = failed || plan.floor == kNever || plan.floor >= run_bound_;
   if (tid != 0) return plan;
 
-  SimTime round_min_horizon = kNever;
-  for (const auto& slot : slots_) {
-    const RoundTally& tally = slot->tally;
-    shard_windows_ += tally.executed;
-    stalled_windows_ += tally.stalled;
-    steals_ += tally.stolen;
-    merged_messages_ += tally.merged;
-    round_min_horizon = std::min(round_min_horizon, tally.min_horizon);
-  }
+  const RoundTally round = published_tally();
+  shard_windows_ += round.executed;
+  stalled_windows_ += round.stalled;
+  steals_ += round.stolen;
+  merged_messages_ += round.merged;
+  dense_rounds_ += round.events - round.max_window >= kParallelSlack;
   if (trace_prev_valid_) {
     // The span for the round that just completed: [its floor, the tightest
     // horizon any shard ran to). Counters are cumulative tracks.
-    const SimTime span_end = round_min_horizon == kNever
+    const SimTime span_end = round.min_horizon == kNever
                                  ? trace_prev_floor_ + 1
-                                 : round_min_horizon;
+                                 : round.min_horizon;
     ECO_TRACE_SPAN(obs::Cat::kSim, par_trace_names().window,
                    (obs::Lane{obs::kSimPid, kEngineTid}), trace_prev_floor_,
                    span_end, windows_ - 1);
@@ -521,7 +535,11 @@ ShardedSimulator::RoundTally ShardedSimulator::execute_round(
       if (stolen) ++tally.stolen;
       if (horizon > next_times_[d]) {
         ++tally.executed;
+        const std::uint64_t before = shards_[d]->sim.events_processed();
         if (!run_shard_window(d, horizon, tid)) tally.failed = true;
+        const std::uint64_t ran = shards_[d]->sim.events_processed() - before;
+        tally.events += ran;
+        tally.max_window = std::max(tally.max_window, ran);
       } else {
         // Pending work the horizon forbade: a barrier stall. Deterministic
         // (horizons derive from published simulation state only).
@@ -532,17 +550,19 @@ ShardedSimulator::RoundTally ShardedSimulator::execute_round(
   return tally;
 }
 
-void ShardedSimulator::exchange(std::size_t tid, RoundTally tally) {
+void ShardedSimulator::exchange(std::size_t tid, bool solo,
+                                RoundTally tally) {
   WorkerSlot& me = *slots_[tid];
-  const std::size_t nshards = shards_.size();
-  const std::size_t lo = tid * nshards / threads_;
-  const std::size_t hi = (tid + 1) * nshards / threads_;
+  const std::size_t last = solo ? threads_ : tid + 1;
+  const std::size_t lo = range_begin(tid);
+  const std::size_t hi = range_begin(last);
   // Gather the messages addressed to this thread's shard range from every
   // outbox and insert them in canonical order, so destination seq numbers
   // come out thread-count invariant. Threads only read the keys of other
-  // threads' messages and move out the actions of their own range's.
+  // threads' messages and move out the actions of their own range's. A
+  // solo round posts into outbox 0 only; the others hold stale messages.
   me.inbox.clear();
-  for (std::size_t t = 0; t < threads_; ++t) {
+  for (std::size_t t = 0; t < (solo ? 1 : threads_); ++t) {
     const std::vector<ShardMessage>& outbox = slots_[t]->outbox;
     for (std::size_t i = 0; i < outbox.size(); ++i) {
       const ShardMessage& m = outbox[i];
@@ -563,25 +583,33 @@ void ShardedSimulator::exchange(std::size_t tid, RoundTally tally) {
   tally.merged = me.inbox.size();
   me.tally = tally;
   fold_range(tid);
-}
-
-void ShardedSimulator::drive(std::size_t tid, RoundGate* gate) {
-  // Round schedule (barriers in parallel runs only):
-  //   plan | execute | gate | exchange | gate | next plan ...
-  for (;;) {
-    const RoundPlan plan = plan_round(tid);
-    if (plan.done) return;
-    const RoundTally tally = execute_round(tid, plan);
-    if (gate) gate->sync();  // every window finished, every outbox final
-    exchange(tid, tally);
-    if (gate) gate->sync();  // tallies and partials published
+  for (std::size_t t = tid + 1; t < last; ++t) {
+    slots_[t]->tally = RoundTally{};  // the round's tally is in slot tid
+    fold_range(t);
   }
 }
 
-void ShardedSimulator::run_parallel() {
+bool ShardedSimulator::drive(std::size_t tid, RoundGate* gate) {
+  // Round schedule (gates in parallel stretches only):
+  //   plan | execute | gate | exchange | gate | next plan ...
+  // Every thread derives the same plans, so all leave after the same round.
+  const std::size_t budget = stretch_;
+  for (std::size_t r = 0; r < budget; ++r) {
+    const RoundPlan plan = plan_round(tid);
+    if (plan.done) return true;
+    RoundTally tally = execute_round(tid, plan);
+    if (gate == nullptr) tally.stolen = 0;  // one thread steals from no one
+    if (gate) gate->sync();  // every window finished, every outbox final
+    exchange(tid, gate == nullptr, tally);
+    if (gate) gate->sync();  // tallies and partials published
+  }
+  return false;
+}
+
+bool ShardedSimulator::run_parallel() {
   if (!gate_) {
-    // Spawned by the first parallel segment, not at construction, and kept
-    // for the engine's lifetime: a later segment costs two gate crossings,
+    // Spawned by the first parallel stretch, not at construction, and kept
+    // for the engine's lifetime: a later stretch costs a gate crossing,
     // not threads-1 spawns and joins.
     gate_ = std::make_unique<RoundGate>(static_cast<std::uint32_t>(threads_));
     const std::size_t home = current_cpu();
@@ -590,17 +618,19 @@ void ShardedSimulator::run_parallel() {
       workers_.emplace_back([this, t, home] {
         start_on_cpu(home + t);
         for (;;) {
-          gate_->sync();  // a segment starts, or the destructor stops us
+          gate_->sync();  // a stretch starts, or the destructor stops us
           if (stop_) return;
-          drive(t, gate_.get());
-          gate_->sync();
+          if (drive(t, gate_.get())) gate_->sync();
         }
       });
     }
   }
-  gate_->sync();  // segment start: run_bound_ and the seeded plan are set
-  drive(0, gate_.get());  // the calling thread is worker 0
-  gate_->sync();  // segment end: no worker reads engine state any more
+  gate_->sync();  // stretch start: the bound, budget and partials are set
+  // A stretch out of budget ends on an exchange gate; one that ends the
+  // segment ends on a plan, still reading the partials: one more crossing.
+  const bool done = drive(0, gate_.get());  // the caller is worker 0
+  if (done) gate_->sync();
+  return done;
 }
 
 void ShardedSimulator::run() { run_until(kNever); }
@@ -608,10 +638,25 @@ void ShardedSimulator::run() { run_until(kNever); }
 bool ShardedSimulator::run_until(SimTime bound) {
   run_bound_ = bound;
   prepare_run();
-  if (threads_ == 1) {
-    drive(0, nullptr);
-  } else {
-    run_parallel();
+  // Run a stretch in the current mode, then pick the next mode from the
+  // stretch's share of dense rounds (parallel.h).
+  std::uint64_t dense_seen = dense_rounds_;  // prepare_run() zeroed tallies
+  for (bool done = false; !done;) {
+    const std::uint64_t first = windows_;
+    done = parallel_ ? run_parallel() : drive(0, nullptr);
+    const std::uint64_t rounds = windows_ - first;
+    if (rounds == 0) break;  // the segment was over before the stretch
+    if (parallel_) parallel_rounds_ += rounds;
+    // The last round is published but accounted only by the next plan.
+    const RoundTally last = published_tally();
+    const std::uint64_t dense =
+        dense_rounds_ +
+        (!done && last.events - last.max_window >= kParallelSlack);
+    const bool parallel =
+        threads_ > 1 && (pinned_parallel_ || 2 * (dense - dense_seen) > rounds);
+    stretch_ = parallel == parallel_ ? std::min(2 * stretch_, kMaxStretch) : 1;
+    parallel_ = parallel;
+    dense_seen = dense;
   }
   run_bound_ = kNever;
   rethrow_shard_error();

@@ -41,6 +41,18 @@
 //     work and the peer bound above protects d for the rest of the
 //     chain's life.
 //
+// Stretches: a solo stretch runs its rounds on the calling thread with no
+// gate (one exchange over every shard); a parallel stretch runs them on
+// the worker pool. A round is *dense* when its parallel slack — events it
+// retired outside its busiest window, the work other threads could have
+// taken — is at least kParallelSlack. After each stretch the caller picks
+// parallel if more than half its rounds were dense (a share, not a mean,
+// so one burst round does not wake the pool for its sparse neighbours). A
+// stretch doubles from 1 round up to kMaxStretch while the mode repeats
+// and restarts at 1 on a switch; both carry over between segments. The
+// counts are deterministic (thread 0 folds them as it plans), so the mode
+// schedule is the same at every thread count above one.
+//
 // Scheduling: every round is plan | execute | gate | exchange | gate.
 // Each thread plans the round itself by folding the per-thread partials
 // published at the previous exchange; the plan is a pure function of those
@@ -57,9 +69,9 @@
 // independently of the outbox they rode.
 //
 // Workers and gates: the calling thread is worker 0; the other threads
-// are spawned by the first parallel run_until() and live as long as the
-// engine, waiting at the same gate between segments (a segment costs a
-// start and an end crossing, not a spawn and join per thread). A gate
+// are spawned by the first parallel stretch and live as long as the
+// engine, waiting at the same gate between stretches (a stretch costs a
+// start crossing, not a spawn and join per thread). A gate
 // crossing waits in three stages: poll the generation word with pause
 // instructions (most rounds are microseconds long, so this catches nearly
 // every crossing without a syscall), yield the core a few times, then
@@ -78,7 +90,8 @@
 // the execute phase writes only shard state, its own outbox and locals;
 // everything a plan reads is written only in the exchange phase, and an
 // outbox is cleared by its owner only in the next execute phase, after the
-// second gate.
+// second gate. Between stretches the workers touch only the gate, so
+// solo rounds need no synchronization.
 //
 // Determinism: the merge is canonical — messages sort by (destination,
 // time, source shard, source sequence), a total order — so destination
@@ -123,7 +136,7 @@ struct ShardMessage {
 };
 
 /// The spin-then-park round barrier (defined in parallel.cc). Null gate =
-/// sequential run, no waiting.
+/// solo stretch, no waiting.
 class RoundGate;
 
 struct ShardedConfig {
@@ -167,6 +180,11 @@ class ShardedSimulator {
   /// (reserved at construction). A round whose windows post more on one
   /// thread grows that outbox — counted in mailbox_spills().
   static constexpr std::size_t kOutboxReserve = 1024;
+  /// Parallel slack (events a round retired outside its busiest shard
+  /// window) from which a round counts as dense.
+  static constexpr std::uint64_t kParallelSlack = 32;
+  /// Longest stretch, in rounds.
+  static constexpr std::size_t kMaxStretch = 64;
 
   explicit ShardedSimulator(ShardedConfig config);
   /// Joins the worker pool (pool threads hold `this`: no copy or move).
@@ -223,6 +241,9 @@ class ShardedSimulator {
   // steals are wall-clock-side.
   /// Synchronization rounds executed so far.
   std::uint64_t windows() const { return windows_; }
+  /// Rounds run in parallel stretches: 0 at one thread, and the same at
+  /// every thread count above one.
+  std::uint64_t parallel_rounds() const { return parallel_rounds_; }
   /// (shard, round) pairs that retired at least one event — "windows
   /// executed". windows() * shard_count() minus this minus the stalls is
   /// the idle balance.
@@ -253,6 +274,7 @@ class ShardedSimulator {
   std::uint64_t shard_wall_time_ns() const;
 
  private:
+  friend class ShardedSimulatorTestPeer;  // tests/sharded_test_peer.h
   static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
 
   struct Shard {
@@ -281,6 +303,8 @@ class ShardedSimulator {
     std::uint64_t stalled = 0;
     std::uint64_t stolen = 0;
     std::uint64_t merged = 0;  // messages this thread inserted
+    std::uint64_t events = 0;      // events its windows retired
+    std::uint64_t max_window = 0;  // events of its busiest window
     SimTime min_horizon = kNever;  // trace span end for the round
     bool failed = false;           // an action threw
   };
@@ -334,21 +358,29 @@ class ShardedSimulator {
   /// Reset per-run state: zero the tallies and seed the next-event times,
   /// ready queues and fold partials.
   void prepare_run();
+  /// First shard of slot `t`'s contiguous range (t = threads_: the end).
+  std::size_t range_begin(std::size_t t) const {
+    return t * shards_.size() / threads_;
+  }
+  /// The sum of every slot's published round tally.
+  RoundTally published_tally() const;
   /// Fold the per-thread partials (O(threads)) into the round's plan.
   /// Thread 0 also accounts the previous round's tallies, emits its trace
   /// span/counters and counts the new window.
   RoundPlan plan_round(std::size_t tid);
   /// Claim shards (own queue, then steal) and run their windows.
   RoundTally execute_round(std::size_t tid, const RoundPlan& plan);
-  /// Insert the messages addressed to this thread's shard range in
-  /// canonical order, then publish its tallies and fold partials.
-  void exchange(std::size_t tid, RoundTally tally);
-  void fold_range(std::size_t tid);
+  /// Insert the messages addressed to slot `tid`'s shards (every shard in
+  /// a solo round) in canonical order, then publish the tally and partials.
+  void exchange(std::size_t tid, bool solo, RoundTally tally);
+  /// Seed slot `slot`'s ready queue and fold partials from its range.
+  void fold_range(std::size_t slot);
   /// The per-shard execution horizon for this round (see file comment).
   SimTime shard_horizon(std::size_t d, const RoundPlan& plan) const;
-  /// One worker's whole round loop; `gate` is null in sequential runs.
-  void drive(std::size_t tid, RoundGate* gate);
-  void run_parallel();
+  /// One worker's loop for a stretch of up to `stretch_` rounds (`gate`
+  /// null: solo). Both return true when the segment is over.
+  bool drive(std::size_t tid, RoundGate* gate);
+  bool run_parallel();
 
   ShardedConfig config_;
   std::size_t threads_ = 1;
@@ -380,13 +412,25 @@ class ShardedSimulator {
   SimTime trace_prev_floor_ = 0;
   std::uint64_t merged_messages_ = 0;
 
+  // Stretch policy (caller-only, between stretches): mode, length and the
+  // cumulative count of accounted dense rounds.
+  bool parallel_ = false;
+  std::size_t stretch_ = 1;
+  std::uint64_t dense_rounds_ = 0;
+  std::uint64_t parallel_rounds_ = 0;
+  // Test pin (ShardedSimulatorTestPeer): a pinned engine runs every stretch
+  // on the pool; new engines copy `pin_new_engines_`, and pinned ones add
+  // their parallel rounds to `pinned_parallel_rounds_` when destroyed.
+  bool pinned_parallel_ = false;
+  static inline std::atomic<bool> pin_new_engines_{false};
+  static inline std::atomic<std::uint64_t> pinned_parallel_rounds_{0};
   std::uint64_t windows_ = 0;
   std::uint64_t shard_windows_ = 0;
   std::uint64_t stalled_windows_ = 0;
   std::uint64_t steals_ = 0;
 
-  // Worker pool, spawned by the first parallel run_until() and joined by
-  // the destructor. `stop_` is written before a gate crossing and read
+  // Worker pool, spawned by the first parallel stretch and joined by the
+  // destructor. `stop_` is written before a gate crossing and read
   // after it, so the gate orders it. Declared last: the workers use
   // everything above.
   std::unique_ptr<RoundGate> gate_;

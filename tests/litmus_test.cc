@@ -11,6 +11,7 @@
 #include "litmus/oracle.h"
 #include "litmus/program.h"
 #include "litmus/sharded.h"
+#include "sharded_test_peer.h"
 
 namespace ecoscale::litmus {
 namespace {
@@ -259,7 +260,11 @@ TEST(LitmusSharded, CrashDrivesNacksAndFailover) {
 TEST(LitmusSharded, ByteIdenticalAcrossSimThreads) {
   for (const LitmusProgram& p : standard_suite()) {
     const RandomizedResult seq = run_randomized(p, quick_config(1));
+    // The suite's rounds are too sparse for the engine to pick a parallel
+    // stretch, so the 4-thread run pins every engine it builds.
+    const ShardedSimulatorTestPeer::PinNewEngines pin;
     const RandomizedResult par = run_randomized(p, quick_config(4));
+    EXPECT_GT(pin.parallel_rounds(), 0u) << p.name;
     EXPECT_EQ(seq.fingerprint, par.fingerprint) << p.name;
     EXPECT_EQ(seq.outcomes, par.outcomes) << p.name;
     EXPECT_EQ(seq.events, par.events) << p.name;

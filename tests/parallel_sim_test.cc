@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <memory>
 #include <stdexcept>
@@ -26,6 +27,7 @@
 #include "interconnect/network.h"
 #include "interconnect/topology.h"
 #include "runtime/sharded.h"
+#include "sharded_test_peer.h"
 #include "sim/parallel.h"
 #include "unimem/pgas.h"
 
@@ -76,6 +78,7 @@ TEST(ShardedSimulator, ActionExceptionPropagatesFromWorkerThreads) {
   sc.lookahead = 10;
   sc.threads = 4;
   ShardedSimulator engine(sc);
+  ShardedSimulatorTestPeer::pin_parallel(engine);
   for (std::size_t s = 0; s < 4; ++s) {
     engine.shard(s).schedule_at(5, [] {});
   }
@@ -83,6 +86,7 @@ TEST(ShardedSimulator, ActionExceptionPropagatesFromWorkerThreads) {
     throw std::runtime_error("shard 3 exploded");
   });
   EXPECT_THROW(engine.run(), std::runtime_error);
+  EXPECT_GT(engine.parallel_rounds(), 0u);
 }
 
 // The documented error contract: when several shards throw in the same
@@ -94,6 +98,7 @@ TEST(ShardedSimulator, LowestShardIdExceptionWinsAcrossThreads) {
   sc.lookahead = 10;
   sc.threads = 4;
   ShardedSimulator engine(sc);
+  ShardedSimulatorTestPeer::pin_parallel(engine);
   for (std::size_t s = 0; s < 4; ++s) {
     engine.shard(s).schedule_at(5, [] {});
   }
@@ -109,6 +114,7 @@ TEST(ShardedSimulator, LowestShardIdExceptionWinsAcrossThreads) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "shard 1 exploded");
   }
+  EXPECT_GT(engine.parallel_rounds(), 0u);
 }
 
 // --- canonical merge order --------------------------------------------------
@@ -145,6 +151,7 @@ TEST(ShardedSimulator, SameTimeMessagesDeliverBySourceThenPostOrder) {
     sc.lookahead = 100;
     sc.threads = threads;
     ShardedSimulator engine(sc);
+    ShardedSimulatorTestPeer::pin_parallel(engine);
     std::vector<Delivery> got;
     ShardedSimulator* e = &engine;
     std::vector<Delivery>* sink = &got;
@@ -162,6 +169,8 @@ TEST(ShardedSimulator, SameTimeMessagesDeliverBySourceThenPostOrder) {
     EXPECT_TRUE(got == expected);
     if (threads == 1) {
       EXPECT_GT(engine.mailbox_spills(), 0u);
+    } else {
+      EXPECT_GT(engine.parallel_rounds(), 0u);
     }
   }
 }
@@ -200,6 +209,7 @@ TEST(ShardedSimulator, InterleavedPairsDeliverInTimeSourceSeqOrder) {
     sc.lookahead = 100;
     sc.threads = threads;
     ShardedSimulator engine(sc);
+    ShardedSimulatorTestPeer::pin_parallel(engine);
     // Each list is written only by its own destination shard's actions.
     std::vector<std::vector<Delivery>> got(kShards);
     ShardedSimulator* e = &engine;
@@ -219,6 +229,9 @@ TEST(ShardedSimulator, InterleavedPairsDeliverInTimeSourceSeqOrder) {
     for (std::size_t d = 0; d < kShards; ++d) {
       EXPECT_TRUE(got[d] == expected[d]) << "destination " << d;
     }
+    if (threads > 1) {
+      EXPECT_GT(engine.parallel_rounds(), 0u);
+    }
   }
 }
 
@@ -237,6 +250,9 @@ struct MeshActor {
   TraceHasher* hashes = nullptr;  // one per shard, indexed by shard id
   std::uint64_t remaining = 0;
   Rng rng{0};
+  // Between these times the actor fires every ~3000 ticks, not every ~50.
+  SimTime sparse_begin = 0;
+  SimTime sparse_end = 0;
 
   void fire() {
     Simulator& sim = eng->shard(shard);
@@ -260,7 +276,10 @@ struct MeshActor {
         dest->mix(from);
       });
     }
-    sim.schedule_after(1 + rng.uniform_u64(97), [this] { fire(); });
+    const bool sparse = sim.now() >= sparse_begin && sim.now() < sparse_end;
+    sim.schedule_after(sparse ? 2000 + rng.uniform_u64(2000)
+                              : 1 + rng.uniform_u64(97),
+                       [this] { fire(); });
   }
 };
 
@@ -457,6 +476,7 @@ void ping_pong_echo_run(const std::function<void(ShardedConfig&)>& tweak,
     sc.threads = threads;
     tweak(sc);
     ShardedSimulator engine(sc);
+    ShardedSimulatorTestPeer::pin_parallel(engine);
     for (SimTime t = 10; t <= 5000; t += 10) {
       engine.shard(0).schedule_at(t, [] {});
     }
@@ -473,6 +493,9 @@ void ping_pong_echo_run(const std::function<void(ShardedConfig&)>& tweak,
     });
     engine.run();
     EXPECT_EQ(pong_at, 10 + 2 * hop);
+    if (threads > 1) {
+      EXPECT_GT(engine.parallel_rounds(), 0u);
+    }
   }
 }
 
@@ -807,7 +830,8 @@ struct NodeGenerator {
 };
 
 std::uint64_t sharded_runtime_hash(std::size_t threads,
-                                   ShardedRuntime::Stats* stats_out = nullptr) {
+                                   ShardedRuntime::Stats* stats_out = nullptr,
+                                   std::uint64_t* parallel_rounds = nullptr) {
   ShardedRuntimeConfig cfg;
   cfg.nodes = 8;
   cfg.workers_per_node = 2;
@@ -816,6 +840,7 @@ std::uint64_t sharded_runtime_hash(std::size_t threads,
   cfg.runtime.share_fabric = true;
   cfg.runtime.distribution = DistributionPolicy::kLazyLocal;
   ShardedRuntime rt(cfg);
+  ShardedSimulatorTestPeer::pin_parallel(rt.engine());
   const std::vector<KernelIR> kernels = {make_stencil5_kernel(),
                                          make_spmv_kernel()};
   for (const auto& k : kernels) rt.register_kernel(k, emit_variants(k, 2));
@@ -859,16 +884,23 @@ std::uint64_t sharded_runtime_hash(std::size_t threads,
   combined.mix(s.windows);
   combined.mix(s.cross_posts);
   if (stats_out != nullptr) *stats_out = s;
+  if (parallel_rounds != nullptr) {
+    *parallel_rounds = rt.engine().parallel_rounds();
+  }
   return combined.h;
 }
 
 TEST(ShardedRuntime, MixedUnimemUnilogicWorkloadIdenticalAcrossThreads) {
   ShardedRuntime::Stats s1{};
+  std::uint64_t par2 = 0;
+  std::uint64_t par8 = 0;
   const std::uint64_t h1 = sharded_runtime_hash(1, &s1);
-  const std::uint64_t h2 = sharded_runtime_hash(2);
-  const std::uint64_t h8 = sharded_runtime_hash(8);
+  const std::uint64_t h2 = sharded_runtime_hash(2, nullptr, &par2);
+  const std::uint64_t h8 = sharded_runtime_hash(8, nullptr, &par8);
   EXPECT_EQ(h1, h2);
   EXPECT_EQ(h1, h8);
+  EXPECT_GT(par2, 0u);
+  EXPECT_GT(par8, 0u);
   // The workload really was mixed and really did cross node boundaries:
   // 8 nodes x 6 epochs x (2 local + 1 forwarded) tasks.
   EXPECT_EQ(s1.tasks, 8u * 6u * 3u);
@@ -938,12 +970,14 @@ TEST(ShardedSimulator, ControllerMayScheduleAtThePauseOnAnyShard) {
 // the hash and injects boundary events for the first few epochs. The
 // final hash must be byte-identical across thread counts — run_until's
 // pause is a consistent cut, never a function of the interleaving.
-std::uint64_t segmented_run_hash(std::size_t threads) {
+std::uint64_t segmented_run_hash(std::size_t threads,
+                                 std::uint64_t* parallel_rounds = nullptr) {
   ShardedConfig sc;
   sc.shards = 4;
   sc.lookahead = 7;
   sc.threads = threads;
   ShardedSimulator engine(sc);
+  ShardedSimulatorTestPeer::pin_parallel(engine);
   std::vector<TraceHasher> hashes(4);
   struct Chain {
     ShardedSimulator* eng;
@@ -995,15 +1029,20 @@ std::uint64_t segmented_run_hash(std::size_t threads) {
   }
   for (std::size_t s = 0; s < 4; ++s) controller.mix(hashes[s].h);
   controller.mix(engine.events_processed());
+  if (parallel_rounds != nullptr) *parallel_rounds = engine.parallel_rounds();
   return controller.h;
 }
 
 TEST(ShardedSimulator, SegmentedRunsAreByteIdenticalAcrossThreads) {
+  std::uint64_t par2 = 0;
+  std::uint64_t par8 = 0;
   const std::uint64_t h1 = segmented_run_hash(1);
-  const std::uint64_t h2 = segmented_run_hash(2);
-  const std::uint64_t h8 = segmented_run_hash(8);
+  const std::uint64_t h2 = segmented_run_hash(2, &par2);
+  const std::uint64_t h8 = segmented_run_hash(8, &par8);
   EXPECT_EQ(h1, h2);
   EXPECT_EQ(h1, h8);
+  EXPECT_GT(par2, 0u);
+  EXPECT_GT(par8, 0u);
 }
 
 // --- the round gate's parked path and the worker pool's lifecycle ----------
@@ -1089,7 +1128,9 @@ TEST(ShardedSimulator, PoolShutsDownFromEveryEngineState) {
     sc.shards = 4;
     sc.lookahead = 10;
     sc.threads = 4;
-    return std::make_unique<ShardedSimulator>(sc);
+    auto engine = std::make_unique<ShardedSimulator>(sc);
+    ShardedSimulatorTestPeer::pin_parallel(*engine);
+    return engine;
   };
   { auto idle = make(); }  // never ran: no pool was spawned
   {
@@ -1100,6 +1141,7 @@ TEST(ShardedSimulator, PoolShutsDownFromEveryEngineState) {
     engine->shard(1).schedule_at(500, [] {});
     EXPECT_FALSE(engine->run_until(100));  // paused with work pending
     engine->run();
+    EXPECT_GT(engine->parallel_rounds(), 0u);
   }
   {
     auto engine = make();
@@ -1110,7 +1152,156 @@ TEST(ShardedSimulator, PoolShutsDownFromEveryEngineState) {
       throw std::runtime_error("shard 2 exploded");
     });
     EXPECT_THROW(engine->run(), std::runtime_error);
+    EXPECT_GT(engine->parallel_rounds(), 0u);
   }
+}
+
+// --- stretch policy: sparse rounds run solo, dense rounds on the pool ------
+
+// The 8-shard mesh (four actors a shard, lookahead 200), sparse between
+// `sparse_begin` and `sparse_end`, run in three segments split at those
+// times. Records each segment's rounds and parallel rounds.
+struct PhasedRun {
+  std::uint64_t hash = 0;
+  std::uint64_t parallel_rounds = 0;
+  std::uint64_t windows = 0;
+  std::uint64_t phase_rounds[3] = {};
+  std::uint64_t phase_parallel[3] = {};
+};
+
+PhasedRun phased_mesh_run(std::size_t threads, std::uint64_t fires,
+                          SimTime sparse_begin, SimTime sparse_end) {
+  ShardedConfig sc;
+  sc.shards = 8;
+  sc.lookahead = 200;
+  sc.threads = threads;
+  ShardedSimulator engine(sc);
+  std::vector<TraceHasher> hashes(8);
+  const auto actors = seed_mesh(engine, hashes, fires);
+  for (const auto& a : actors) {
+    a->sparse_begin = sparse_begin;
+    a->sparse_end = sparse_end;
+  }
+  PhasedRun r;
+  const SimTime bounds[3] = {sparse_begin, sparse_end,
+                             std::numeric_limits<SimTime>::max()};
+  for (int phase = 0; phase < 3; ++phase) {
+    const std::uint64_t rounds = engine.windows();
+    const std::uint64_t parallel = engine.parallel_rounds();
+    engine.run_until(bounds[phase]);
+    r.phase_rounds[phase] = engine.windows() - rounds;
+    r.phase_parallel[phase] = engine.parallel_rounds() - parallel;
+  }
+  r.hash = mesh_fingerprint(engine, hashes);
+  r.parallel_rounds = engine.parallel_rounds();
+  r.windows = engine.windows();
+  return r;
+}
+
+// A KV-like engine load: a few events a round on a handful of shards. The
+// pool would only add gate crossings, so no round runs on it.
+TEST(StretchPolicy, SparseRunTakesNoParallelRound) {
+  const PhasedRun seq = phased_mesh_run(1, 40, 0, 1u << 30);
+  const PhasedRun par = phased_mesh_run(4, 40, 0, 1u << 30);
+  EXPECT_EQ(par.hash, seq.hash);
+  EXPECT_GT(par.windows, 0u);
+  EXPECT_EQ(par.parallel_rounds, 0u);
+}
+
+// The dense mesh retires hundreds of events a round across every shard:
+// after the first solo round, the pool runs (nearly) all of them.
+TEST(StretchPolicy, DenseMeshRunsNearlyEveryRoundInParallel) {
+  const PhasedRun seq = phased_mesh_run(1, 400, 0, 0);
+  const PhasedRun par = phased_mesh_run(4, 400, 0, 0);
+  EXPECT_EQ(par.hash, seq.hash);
+  EXPECT_EQ(seq.parallel_rounds, 0u);
+  EXPECT_GE(par.parallel_rounds * 10, par.windows * 9);
+}
+
+// Dense, then sparse for long enough to outlast two maximal stretches, then
+// dense again. The mode schedule depends on deterministic counts only, so
+// it is the same at every thread count above one, and the results match a
+// single thread's.
+TEST(StretchPolicy, AlternatingPhasesSwitchModeAndStayIdentical) {
+  constexpr std::uint64_t kFires = 600;
+  constexpr SimTime kSparseBegin = 10000;
+  constexpr SimTime kSparseEnd = 110000;
+  const PhasedRun seq = phased_mesh_run(1, kFires, kSparseBegin, kSparseEnd);
+  EXPECT_EQ(seq.parallel_rounds, 0u);
+  std::uint64_t parallel_rounds = 0;
+  for (const std::size_t threads : {2u, 4u, 8u}) {
+    SCOPED_TRACE(threads);
+    const PhasedRun par =
+        phased_mesh_run(threads, kFires, kSparseBegin, kSparseEnd);
+    EXPECT_EQ(par.hash, seq.hash);
+    if (parallel_rounds == 0) parallel_rounds = par.parallel_rounds;
+    EXPECT_EQ(par.parallel_rounds, parallel_rounds);
+    // Parallel in the first dense phase, solo in the sparse one, parallel
+    // again in the last: at least two mode switches.
+    EXPECT_GT(par.phase_parallel[0], 0u);
+    EXPECT_LT(par.phase_parallel[1], par.phase_rounds[1]);
+    EXPECT_GT(par.phase_parallel[2], 0u);
+  }
+}
+
+// Shards 1 and 3 throw in the same round. Sparse: the round runs solo on
+// the calling thread. After a dense segment: it runs in a parallel
+// stretch. Either way the lowest shard id's exception is rethrown.
+TEST(StretchPolicy, LowestShardExceptionWinsInSoloAndParallelStretches) {
+  ShardedConfig sc;
+  sc.shards = 4;
+  sc.lookahead = 10;
+  sc.threads = 4;
+  {
+    ShardedSimulator engine(sc);
+    for (std::size_t s = 0; s < 4; ++s) engine.shard(s).schedule_at(5, [] {});
+    engine.shard(3).schedule_at(7, [] { throw std::runtime_error("solo 3"); });
+    engine.shard(1).schedule_at(7, [] { throw std::runtime_error("solo 1"); });
+    try {
+      engine.run();
+      FAIL() << "run() swallowed the shard exceptions";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "solo 1");
+    }
+    EXPECT_EQ(engine.parallel_rounds(), 0u);
+  }
+  sc.shards = 8;
+  sc.lookahead = 200;
+  ShardedSimulator engine(sc);
+  std::vector<TraceHasher> hashes(8);
+  const auto actors = seed_mesh(engine, hashes, 400);
+  EXPECT_FALSE(engine.run_until(4000));
+  ASSERT_GT(engine.parallel_rounds(), 0u);
+  const std::uint64_t rounds = engine.windows();
+  const std::uint64_t parallel = engine.parallel_rounds();
+  engine.shard(3).schedule_at(4005, [] { throw std::runtime_error("par 3"); });
+  engine.shard(1).schedule_at(4005, [] { throw std::runtime_error("par 1"); });
+  try {
+    engine.run();
+    FAIL() << "run() swallowed the shard exceptions";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "par 1");
+  }
+  // Every round of the throwing segment, the last included, ran parallel.
+  EXPECT_GT(engine.windows(), rounds);
+  EXPECT_EQ(engine.parallel_rounds() - parallel, engine.windows() - rounds);
+}
+
+// A multi-thread engine whose rounds all ran solo never spawned its pool;
+// destroying it must not wait on workers that do not exist.
+TEST(StretchPolicy, EngineThatNeverWentParallelShutsDown) {
+  ShardedConfig sc;
+  sc.shards = 4;
+  sc.lookahead = 10;
+  sc.threads = 4;
+  auto engine = std::make_unique<ShardedSimulator>(sc);
+  for (std::size_t s = 0; s < 4; ++s) {
+    engine->shard(s).schedule_at(5 + s, [] {});
+  }
+  EXPECT_TRUE(engine->run_until(100));
+  engine->run();
+  EXPECT_EQ(engine->parallel_rounds(), 0u);
+  engine.reset();
 }
 
 TEST(ShardedRuntime, ForwardedTasksPayTheInterNodeLatency) {

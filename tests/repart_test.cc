@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "runtime/sharded.h"
 #include "serve/kvstore.h"
 #include "serve/loadgen.h"
+#include "sharded_test_peer.h"
 
 namespace ecoscale {
 namespace {
@@ -305,6 +307,7 @@ struct MigrationRun {
   std::uint64_t fingerprint = 0;
   std::uint64_t moves = 0;
   std::uint64_t forwards = 0;
+  std::uint64_t parallel_rounds = 0;
   /// Every node's apply log, concatenated (node, records) for the oracle.
   std::vector<serve::KvApplyRecord> records;
 };
@@ -329,6 +332,7 @@ MigrationRun run_migration_under_load(std::size_t threads) {
   rc.runtime.faults.heartbeat_period = microseconds(5);
   rc.runtime.faults.detect_timeout = microseconds(15);
   ShardedRuntime rt(rc);
+  ShardedSimulatorTestPeer::pin_parallel(rt.engine());
 
   serve::KvConfig kc;
   kc.key_space = 1 << 10;
@@ -362,6 +366,7 @@ MigrationRun run_migration_under_load(std::size_t threads) {
   out.fingerprint = h;
   out.moves = rp.stats().moves;
   out.forwards = kv.cross_stats().forwards;
+  out.parallel_rounds = rt.engine().parallel_rounds();
   for (std::size_t n = 0; n < rt.node_count(); ++n) {
     const auto& log = kv.apply_log(n);
     out.records.insert(out.records.end(), log.begin(), log.end());
@@ -377,6 +382,8 @@ TEST(MigrationUnderLoad, ByteIdenticalAcrossSimThreads) {
   EXPECT_EQ(r1.fingerprint, r8.fingerprint);
   EXPECT_EQ(r1.moves, r8.moves);
   EXPECT_EQ(r1.forwards, r8.forwards);
+  EXPECT_GT(r2.parallel_rounds, 0u);
+  EXPECT_GT(r8.parallel_rounds, 0u);
   // The scenario really exercised the machinery: the outage drained
   // blocks off the dead node, and at least one stranded request re-homed
   // through a stale-owner forward.
@@ -387,6 +394,7 @@ TEST(MigrationUnderLoad, ByteIdenticalAcrossSimThreads) {
 TEST(MigrationUnderLoad, PerKeyApplyHistoryStaysSerialAcrossMigrations) {
   MigrationRun run = run_migration_under_load(4);
   ASSERT_GT(run.moves, 0u);
+  EXPECT_GT(run.parallel_rounds, 0u);
   // Partition-consistency oracle over a *moving* partition: merge every
   // node's apply records per key in apply-time order and replay. A block
   // migration that lost a write (wiped source read back), double-applied
@@ -448,6 +456,7 @@ TEST(MeshWorkload, StaticRunIsDeterministicAcrossThreads) {
     rc.workers_per_node = 1;
     rc.threads = threads;
     ShardedRuntime rt(rc);
+    ShardedSimulatorTestPeer::pin_parallel(rt.engine());
     repart::MeshConfig mc;
     mc.cells = 256;
     mc.chords = 64;
@@ -456,10 +465,11 @@ TEST(MeshWorkload, StaticRunIsDeterministicAcrossThreads) {
     repart::MeshWorkload mesh(rt, nullptr, mc);
     mesh.start();
     rt.run();
-    return mesh.report();
+    return std::make_pair(mesh.report(), rt.engine().parallel_rounds());
   };
-  const repart::MeshWorkload::Report a = run(1);
-  const repart::MeshWorkload::Report b = run(4);
+  const repart::MeshWorkload::Report a = run(1).first;
+  const auto [b, parallel_rounds] = run(4);
+  EXPECT_GT(parallel_rounds, 0u);
   EXPECT_EQ(a.fingerprint, b.fingerprint);
   EXPECT_GT(a.updates, 0u);
   EXPECT_GT(a.total_reads, 0u);

@@ -17,6 +17,7 @@
 #include "serve/kvstore.h"
 #include "serve/latency.h"
 #include "serve/loadgen.h"
+#include "sharded_test_peer.h"
 
 namespace ecoscale {
 namespace {
@@ -222,10 +223,12 @@ TEST(Admission, ShedResponsesKeepClosedLoopsLive) {
   EXPECT_GT(report.completed, 0u);
 }
 
-LoadGen::Report run_loadgen(std::size_t threads) {
+LoadGen::Report run_loadgen(std::size_t threads,
+                            std::uint64_t* parallel_rounds = nullptr) {
   ShardedRuntimeConfig rc = serve_config(4, 2, threads);
   rc.runtime.admission_limit = 32;
   ShardedRuntime rt(rc);
+  ShardedSimulatorTestPeer::pin_parallel(rt.engine());
   serve::KvConfig kv_cfg = small_kv();
   kv_cfg.key_space = 1024;
   kv_cfg.service_items = 500;
@@ -237,6 +240,9 @@ LoadGen::Report run_loadgen(std::size_t threads) {
   LoadGen gen(rt, kv, lg);
   gen.start();
   rt.run();
+  if (parallel_rounds != nullptr) {
+    *parallel_rounds = rt.engine().parallel_rounds();
+  }
   return gen.report();
 }
 
@@ -244,7 +250,9 @@ TEST(Determinism, ByteIdenticalAcrossSimThreads) {
   const LoadGen::Report seq = run_loadgen(1);
   ASSERT_GT(seq.completed, 0u);
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    const LoadGen::Report par = run_loadgen(threads);
+    std::uint64_t parallel_rounds = 0;
+    const LoadGen::Report par = run_loadgen(threads, &parallel_rounds);
+    EXPECT_GT(parallel_rounds, 0u) << threads << " threads";
     EXPECT_EQ(par.fingerprint, seq.fingerprint) << threads << " threads";
     EXPECT_EQ(par.issued, seq.issued);
     EXPECT_EQ(par.completed, seq.completed);

@@ -18,6 +18,7 @@
 #include "interconnect/network.h"
 #include "interconnect/topology.h"
 #include "obs/trace.h"
+#include "sharded_test_peer.h"
 #include "sim/inline_action.h"
 #include "sim/parallel.h"
 #include "sim/simulator.h"
@@ -283,7 +284,8 @@ struct ShardPumpActor {
 };
 
 // Eight shards of ShardPumpActors on a 4-thread engine, each actor good for
-// `fires_per_actor` fires.
+// `fires_per_actor` fires. The pump is too sparse for the engine to pick
+// parallel stretches itself, so it is pinned to the parallel path.
 struct ShardPump {
   ShardedSimulator engine{[] {
     ShardedConfig sc;
@@ -297,6 +299,7 @@ struct ShardPump {
 
   explicit ShardPump(std::uint64_t fires_per_actor) {
     EXPECT_EQ(engine.threads_used(), 4u);
+    ShardedSimulatorTestPeer::pin_parallel(engine);
     for (std::size_t s = 0; s < 8; ++s) {
       actors[s].eng = &engine;
       actors[s].shard = s;
@@ -319,6 +322,7 @@ std::uint64_t sharded_run_allocs(std::uint64_t fires_per_actor) {
       << "an outbox grew past its reserve; growth allocates and voids the "
          "comparison";
   EXPECT_GT(engine.messages(), 0u);
+  EXPECT_GT(engine.parallel_rounds(), 0u);
   return g_allocations.load() - before;
 }
 
@@ -354,6 +358,90 @@ TEST(SimulatorAllocation, ShardedSegmentsAreAllocationFreeOnceWarm) {
   const std::uint64_t scaled = segments(100);
   EXPECT_EQ(scaled, base)
       << "the parallel engine allocated per run_until() segment";
+  EXPECT_EQ(engine.mailbox_spills(), 0u);
+  EXPECT_GT(engine.parallel_rounds(), 0u);
+}
+
+// Sixteen pump actors per shard whose pace alternates with simulated time:
+// a fire every ~25 ticks in the first quarter of each kPeriod-tick period,
+// a fire every ~4000 ticks in the rest. The dense quarters retire hundreds
+// of events per round and run in parallel stretches; the sparse rest
+// retires a few per round, over enough rounds to outlast a maximal
+// stretch, and runs solo. So each period switches the mode twice.
+struct PhasePump {
+  static constexpr SimTime kPeriod = 160000;
+  struct Actor {
+    ShardedSimulator* eng = nullptr;
+    std::size_t shard = 0;
+    std::uint64_t left = 0;
+    std::uint64_t* sinks = nullptr;
+
+    void fire() {
+      Simulator& sim = eng->shard(shard);
+      sinks[shard] += sim.now();
+      if (left == 0) return;
+      --left;
+      if ((left & 3) == 0) {
+        const std::size_t to = (shard + 1) % 8;
+        std::uint64_t* s = &sinks[to];
+        ShardedSimulator* e = eng;
+        eng->post(shard, to, sim.now() + 200 + (left % 64),
+                  [e, to, s] { *s += e->shard(to).now(); });
+      }
+      const bool dense = sim.now() % kPeriod < kPeriod / 4;
+      sim.schedule_after(dense ? 10 + left % 30 : 3000 + left % 2000,
+                         [this] { fire(); });
+    }
+  };
+
+  ShardedSimulator engine{[] {
+    ShardedConfig sc;
+    sc.shards = 8;
+    sc.lookahead = 200;
+    sc.threads = 4;
+    return sc;
+  }()};
+  std::array<std::uint64_t, 8> sinks{};
+  std::vector<Actor> actors{8 * 16};
+
+  PhasePump() {
+    for (std::size_t i = 0; i < actors.size(); ++i) {
+      Actor& a = actors[i];
+      a.eng = &engine;
+      a.shard = i % 8;
+      a.left = ~std::uint64_t{0};
+      a.sinks = sinks.data();
+      engine.shard(a.shard).schedule_at(static_cast<SimTime>(1 + i % 16),
+                                        [p = &a] { p->fire(); });
+    }
+  }
+};
+
+TEST(SimulatorAllocation, SoloStretchesAndModeSwitchesAreAllocationFree) {
+  // One unpinned engine, paused once per period: every segment runs solo
+  // and parallel stretches and switches between them twice. Once warm,
+  // k periods and 4k periods must allocate the same — anything per stretch
+  // or per switch shows up as the difference.
+  PhasePump pump;
+  ShardedSimulator& engine = pump.engine;
+  SimTime bound = 0;
+  const auto periods = [&](int k) {
+    const std::uint64_t before = g_allocations.load();
+    for (int i = 0; i < k; ++i) {
+      EXPECT_FALSE(engine.run_until(bound += PhasePump::kPeriod));
+    }
+    return g_allocations.load() - before;
+  };
+  periods(4);  // warm: pool, slabs, TLS
+  const std::uint64_t rounds0 = engine.windows();
+  const std::uint64_t parallel0 = engine.parallel_rounds();
+  const std::uint64_t base = periods(2);
+  const std::uint64_t scaled = periods(8);
+  EXPECT_EQ(scaled, base)
+      << "the engine allocated per stretch or per mode switch";
+  const std::uint64_t parallel = engine.parallel_rounds() - parallel0;
+  EXPECT_GT(parallel, 0u);
+  EXPECT_LT(parallel, engine.windows() - rounds0);  // solo rounds ran too
   EXPECT_EQ(engine.mailbox_spills(), 0u);
 }
 
