@@ -65,7 +65,7 @@ struct ScaleRow {
   double construct_ms = 0.0;
   double rss_mb = 0.0;             // RSS growth while constructing
   std::uint64_t route_bytes = 0;   // Network routing state
-  std::uint64_t lane_bytes = 0;    // sharded-engine outbox reserves
+  std::uint64_t lane_bytes = 0;    // outbox capacity a fresh engine holds
   double state_b_per_ep = 0.0;     // (route + lanes) / workers
   double route_ns = 0.0;           // route_latency ns/op, sampled pairs
   std::uint64_t lazy_workers = 0;  // constructed after touching one pool
@@ -250,9 +250,9 @@ int main(int argc, char** argv) {
   bench::print_table(
       scale,
       "machine construction and routing state, 64 -> 100k workers (route\n"
-      "state is the per-vertex tree arrays; lane bytes the per-thread\n"
-      "cross-shard outbox reserves; lazy workers = constructed after\n"
-      "touching one node's pool):");
+      "state is the per-vertex tree arrays; lane bytes the outbox\n"
+      "capacity a fresh engine holds, reserved at first use; lazy\n"
+      "workers = constructed after touching one node's pool):");
   const ScaleRow& big = rows.back();
   if (big.construct_ms >= 1000.0) {
     std::cerr << "FATAL: 100k-worker machine took " << big.construct_ms

@@ -131,7 +131,8 @@ std::optional<LoadResult> ReconfigManager::ensure_loaded(
       trace_lane_, now, result.ready, wire);
   config_bytes_total_ += wire;
   ++loads_;
-  energy_.charge("fabric.config",
+  static const CounterId kConfigId = CounterRegistry::intern("fabric.config");
+  energy_.charge(kConfigId,
                  config_.pj_per_config_byte * static_cast<double>(wire));
   loaded_[module.kernel] =
       Loaded{module.kernel, *region, /*busy_until=*/result.ready,

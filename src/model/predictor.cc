@@ -16,12 +16,14 @@ const char* device_class_name(DeviceClass d) {
   return "?";
 }
 
-void CostPredictor::observe(const HistoryRecord& record) {
-  auto& m = models_[{record.kernel, record.device}];
-  const auto x = record.features.vector();
-  m.time.observe(x, record.time_ns);
-  m.energy.observe(x, record.energy_pj);
-  records_.push_back(record);
+void CostPredictor::train() const {
+  for (; trained_ < records_.size(); ++trained_) {
+    const HistoryRecord& record = records_[trained_];
+    auto& m = models_[{record.kernel, record.device}];
+    const auto x = record.features.vector();
+    m.time.observe(x, record.time_ns);
+    m.energy.observe(x, record.energy_pj);
+  }
 }
 
 Prediction CostPredictor::static_estimate(const KernelIR& kernel,
@@ -53,6 +55,7 @@ Prediction CostPredictor::static_estimate(const KernelIR& kernel,
 
 Prediction CostPredictor::predict(const KernelIR& kernel, DeviceClass device,
                                   const TaskFeatures& features) const {
+  train();
   auto it = models_.find({kernel.id, device});
   if (it != models_.end()) {
     const auto x = features.vector();
@@ -72,8 +75,15 @@ Prediction CostPredictor::predict(const KernelIR& kernel, DeviceClass device,
 
 std::size_t CostPredictor::observations(KernelId kernel,
                                         DeviceClass device) const {
+  const Models* m = models(kernel, device);
+  return m == nullptr ? 0 : m->time.observations();
+}
+
+const CostPredictor::Models* CostPredictor::models(KernelId kernel,
+                                                   DeviceClass device) const {
+  train();
   auto it = models_.find({kernel, device});
-  return it == models_.end() ? 0 : it->second.time.observations();
+  return it == models_.end() ? nullptr : &it->second;
 }
 
 void CostPredictor::save(std::ostream& os) const {

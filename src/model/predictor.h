@@ -4,7 +4,12 @@
 // For every (kernel, device-class) pair the runtime keeps a regression
 // model over input features. The training part happens online: each
 // completed task contributes one observation; the actuation part is the
-// scheduler's predict() call.
+// scheduler's predict() call. Training is lazy: observe() only appends to
+// the history, and the first read after it (predict(), observations())
+// replays the untrained records into the models in arrival order, so the
+// coefficients and the prequential error come out exactly as if every
+// record had been trained on arrival — while a policy that never predicts
+// never solves.
 #pragma once
 
 #include <array>
@@ -56,10 +61,17 @@ struct Prediction {
 
 class CostPredictor {
  public:
+  /// The learned models of one (kernel, device) pair.
+  struct Models {
+    RidgeRegression time{TaskFeatures::kDims};
+    RidgeRegression energy{TaskFeatures::kDims};
+  };
+
   CostPredictor() = default;
 
-  /// Record a completed execution (training part).
-  void observe(const HistoryRecord& record);
+  /// Record a completed execution (training part; applied to the models
+  /// at the next read).
+  void observe(const HistoryRecord& record) { records_.push_back(record); }
 
   /// Predict cost of running `kernel` with `features` on `device`.
   /// Falls back to an analytic estimate derived from the KernelIR until the
@@ -68,6 +80,10 @@ class CostPredictor {
                      const TaskFeatures& features) const;
 
   std::size_t observations(KernelId kernel, DeviceClass device) const;
+
+  /// The pair's models, trained on every record so far (nullptr before the
+  /// pair's first observation): coefficients and prequential error.
+  const Models* models(KernelId kernel, DeviceClass device) const;
 
   /// Serialise / restore the History file (paper: "A history of the
   /// function calls as well as their execution time is stored in a History
@@ -78,17 +94,16 @@ class CostPredictor {
   const std::vector<HistoryRecord>& records() const { return records_; }
 
  private:
-  struct Models {
-    RidgeRegression time{TaskFeatures::kDims};
-    RidgeRegression energy{TaskFeatures::kDims};
-  };
   using ModelKey = std::pair<KernelId, DeviceClass>;
 
   static Prediction static_estimate(const KernelIR& kernel,
                                     DeviceClass device,
                                     const TaskFeatures& features);
+  /// Train the models on records_[trained_..], in arrival order.
+  void train() const;
 
-  std::map<ModelKey, Models> models_;
+  mutable std::map<ModelKey, Models> models_;
+  mutable std::size_t trained_ = 0;  // records_ already in the models
   std::vector<HistoryRecord> records_;
 };
 

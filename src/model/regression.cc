@@ -28,14 +28,15 @@ void RidgeRegression::observe(std::span<const double> features,
 }
 
 bool RidgeRegression::solve(std::vector<double>& beta) const {
-  // Cholesky of A = XᵀX + λI.
+  // Cholesky of A = XᵀX + λI. Only the lower triangle of the factor is
+  // ever read, and each entry is written before it is read.
   const std::size_t n = dims_;
-  std::vector<double> a(xtx_);
-  for (std::size_t i = 0; i < n; ++i) a[i * n + i] += lambda_;
-  std::vector<double> l(n * n, 0.0);
+  std::vector<double>& l = factor_;
+  l.resize(n * n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j <= i; ++j) {
-      double sum = a[i * n + j];
+      double sum = xtx_[i * n + j];
+      if (i == j) sum += lambda_;
       for (std::size_t k = 0; k < j; ++k) sum -= l[i * n + k] * l[j * n + k];
       if (i == j) {
         if (sum <= 0) return false;
@@ -46,7 +47,8 @@ bool RidgeRegression::solve(std::vector<double>& beta) const {
     }
   }
   // Solve L z = Xᵀy, then Lᵀ beta = z.
-  std::vector<double> z(n, 0.0);
+  std::vector<double>& z = z_;
+  z.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     double sum = xty_[i];
     for (std::size_t k = 0; k < i; ++k) sum -= l[i * n + k] * z[k];

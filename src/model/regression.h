@@ -51,6 +51,9 @@ class RidgeRegression {
   std::size_t observations_ = 0;
   mutable std::vector<double> cached_beta_;
   mutable bool cache_valid_ = false;
+  // solve() scratch, kept so a re-solve allocates nothing once warm.
+  mutable std::vector<double> factor_;  // Cholesky factor L, dims × dims
+  mutable std::vector<double> z_;       // forward-substitution result
   double abs_err_sum_ = 0.0;
 };
 

@@ -45,7 +45,8 @@ MsgResult MpiWorld::send(std::size_t src, std::size_t dst, Bytes bytes,
   r.delivered =
       recv_cpu_[dst].reserve_until(d.arrival, config_.recv_overhead);
   r.energy += d.energy;
-  energy_.charge("mpi.p2p", r.energy);
+  static const CounterId kP2pId = CounterRegistry::intern("mpi.p2p");
+  energy_.charge(kP2pId, r.energy);
   return r;
 }
 

@@ -215,11 +215,15 @@ class TraceSession {
   mutable std::mutex mu_;  // guards recorders_ registration (cold path)
 };
 
+/// True while `c` is enabled. Unlike tracer(), never registers a ring.
+inline bool recording(Cat c) {
+  return (g_trace_mask.load(std::memory_order_relaxed) & cat_bit(c)) != 0;
+}
+
 /// Hot-path gate: nullptr unless `c` is enabled. The common (disabled)
 /// path is one load + one test.
 inline TraceRecorder* tracer(Cat c) {
-  const std::uint32_t mask = g_trace_mask.load(std::memory_order_relaxed);
-  if ((mask & cat_bit(c)) == 0) return nullptr;
+  if (!recording(c)) return nullptr;
   return &TraceSession::instance().thread_recorder();
 }
 

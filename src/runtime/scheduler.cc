@@ -98,9 +98,10 @@ void RuntimeSystem::submit(const Task& task) {
   ECO_CHECK_MSG(kernels_.contains(task.kernel), "unregistered kernel");
   ++pending_;
   if (config_.faults.enabled) ensure_monitor();
-  sim_.schedule_at(task.release, [this, task] {
+  sim_.schedule_at(task.release, [this, task = task]() mutable {
     const std::size_t home = machine_.pgas().flat(task.home);
     const std::size_t target = route(task);
+    task.forwarded = target != home;
     if (target == home) {
       arrive(target, task, /*spill_hops=*/0);
       return;
@@ -214,7 +215,7 @@ void RuntimeSystem::arrive(std::size_t worker, Task task, int spill_hops) {
       ECO_TRACE_INSTANT(obs::Cat::kRuntime, task_trace_names().spill,
                         worker_lane(worker, machine_.workers_per_node()),
                         sim_.now(), task.id);
-      forwarded_[task.id] = true;
+      task.forwarded = true;
       const auto mig = machine_.pgas().migrate_task(
           machine_.pgas().coord(worker), machine_.pgas().coord(target),
           sim_.now());
@@ -224,7 +225,6 @@ void RuntimeSystem::arrive(std::size_t worker, Task task, int spill_hops) {
       return;
     }
   }
-  if (!forwarded_.contains(task.id)) forwarded_[task.id] = spill_hops > 0;
   workers_[worker].queue.push_back(std::move(task));
   if (!workers_[worker].busy) dispatch(worker);
 }
@@ -246,18 +246,21 @@ const AcceleratorModule* RuntimeSystem::choose_variant(
 }
 
 DeviceClass RuntimeSystem::place(const Task& task, std::size_t worker) {
-  const KernelIR& kernel = kernels_.at(task.kernel);
-  const bool hw_possible = choose_variant(task.kernel, worker) != nullptr;
+  // Asked only by the policies that can use hardware.
+  const auto hw_possible = [&] {
+    return choose_variant(task.kernel, worker) != nullptr;
+  };
   switch (config_.placement) {
     case PlacementPolicy::kAlwaysSoftware:
       return DeviceClass::kCpu;
     case PlacementPolicy::kAlwaysHardware:
-      return hw_possible ? DeviceClass::kLocalFabric : DeviceClass::kCpu;
+      return hw_possible() ? DeviceClass::kLocalFabric : DeviceClass::kCpu;
     case PlacementPolicy::kSizeThreshold:
-      return (hw_possible && task.items >= config_.size_threshold)
+      return (task.items >= config_.size_threshold && hw_possible())
                  ? DeviceClass::kLocalFabric
                  : DeviceClass::kCpu;
     case PlacementPolicy::kModelBased: {
+      const KernelIR& kernel = kernels_.at(task.kernel);
       auto score = [&](const Prediction& p) {
         switch (config_.objective) {
           case Objective::kTime:
@@ -273,7 +276,7 @@ DeviceClass RuntimeSystem::place(const Task& task, std::size_t worker) {
           predictor_.predict(kernel, DeviceClass::kCpu, task.features);
       double best = score(cpu);
       DeviceClass choice = DeviceClass::kCpu;
-      if (hw_possible) {
+      if (hw_possible()) {
         const auto local = predictor_.predict(
             kernel, DeviceClass::kLocalFabric, task.features);
         if (score(local) < best) {
@@ -354,7 +357,7 @@ void RuntimeSystem::dispatch(std::size_t worker) {
   result.release = task.release;
   result.started = now;
   result.executed_on = worker;
-  result.forwarded = forwarded_[task.id];
+  result.forwarded = task.forwarded;
 
   SimTime finish = now;
   if (device == DeviceClass::kCpu) {
@@ -393,48 +396,15 @@ void RuntimeSystem::dispatch(std::size_t worker) {
   }
   result.finished = finish;
 
-  // Live fault path: remember the attempt so a crash can price and
-  // re-queue it, and tag the completion with an epoch — a crash bumps the
+  // The attempt waits in the worker's state for its completion event,
+  // which captures only (worker, epoch) and so fits an event inline. A
+  // crash prices and re-queues the attempt from there, and bumps the
   // epoch, turning the (uncancellable) completion event into a no-op.
   const std::uint64_t epoch = ++state.epoch;
-  if (config_.faults.enabled) {
-    state.in_flight = true;
-    state.current = task;
-    state.exec_start = now;
-    state.exec_finish = finish;
-    state.exec_energy = result.energy;
-  }
-
-  if (completion_handler_) {
-    // The handler needs the task (payload) alongside the result; the
-    // fatter capture only exists when a handler is installed.
-    sim_.schedule_at(finish, [this, worker, task, result, epoch] {
-      WorkerState& st = workers_[worker];
-      if (st.epoch != epoch) return;  // attempt destroyed by a crash
-      ECO_TRACE_END(obs::Cat::kRuntime, task_trace_names().exec,
-                    worker_lane(worker, machine_.workers_per_node()),
-                    sim_.now());
-      st.in_flight = false;
-      results_.push_back(result);
-      --pending_;
-      st.busy = false;
-      completion_handler_(task, result);
-      dispatch(worker);
-    });
-  } else {
-    sim_.schedule_at(finish, [this, worker, result, epoch] {
-      WorkerState& st = workers_[worker];
-      if (st.epoch != epoch) return;  // attempt destroyed by a crash
-      ECO_TRACE_END(obs::Cat::kRuntime, task_trace_names().exec,
-                    worker_lane(worker, machine_.workers_per_node()),
-                    sim_.now());
-      st.in_flight = false;
-      results_.push_back(result);
-      --pending_;
-      st.busy = false;
-      dispatch(worker);
-    });
-  }
+  state.in_flight = true;
+  state.current = task;
+  state.result = result;
+  sim_.schedule_at(finish, [this, worker, epoch] { complete(worker, epoch); });
 
   // Observe immediately (the measurement is deterministic): prequential
   // training keeps the model-based policy causal — the prediction above
@@ -448,6 +418,25 @@ void RuntimeSystem::dispatch(std::size_t worker) {
   predictor_.observe(record);
 }
 
+void RuntimeSystem::complete(std::size_t worker, std::uint64_t epoch) {
+  WorkerState& st = workers_[worker];
+  if (st.epoch != epoch) return;  // attempt destroyed by a crash
+  ECO_TRACE_END(obs::Cat::kRuntime, task_trace_names().exec,
+                worker_lane(worker, machine_.workers_per_node()), sim_.now());
+  st.in_flight = false;
+  results_.push_back(st.result);
+  --pending_;
+  st.busy = false;
+  if (completion_handler_) {
+    // The handler needs the task (payload) alongside the result.
+    const Task task = st.current;
+    const TaskResult result = st.result;
+    completion_handler_(task, result);
+  }
+  dispatch(worker);
+}
+
+// --- live fault path --------------------------------------------------------
 // --- live fault path --------------------------------------------------------
 
 void RuntimeSystem::on_worker_down(std::size_t worker, SimTime at) {
@@ -462,10 +451,10 @@ void RuntimeSystem::on_worker_down(std::size_t worker, SimTime at) {
     // real: charge partial progress in proportion to elapsed runtime. The
     // victim task stays parked in `current` (in_flight marks it) until the
     // heartbeat monitor detects the crash — or repair beats detection.
-    const SimDuration ran = at - state.exec_start;
-    const SimDuration full = state.exec_finish - state.exec_start;
+    const SimDuration ran = at - state.result.started;
+    const SimDuration full = state.result.finished - state.result.started;
     if (full > 0) {
-      wasted_energy_ += state.exec_energy *
+      wasted_energy_ += state.result.energy *
                         (static_cast<double>(ran) / static_cast<double>(full));
     }
     ++failures_;

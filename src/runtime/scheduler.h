@@ -18,8 +18,8 @@
 //    poll-everyone oracle).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -176,8 +176,7 @@ class RuntimeSystem {
   /// Called when a task's result is recorded, inside the completion event
   /// at result.finished (same causal point as results_.push_back). Serving
   /// layers use it to decode Task::payload and send responses; it runs on
-  /// this runtime's simulator, so it may post follow-on events. Unset
-  /// (default) keeps the completion path allocation-identical to legacy.
+  /// this runtime's simulator, so it may post follow-on events.
   using CompletionHandler = std::function<void(const Task&, const TaskResult&)>;
   void set_completion_handler(CompletionHandler handler) {
     completion_handler_ = std::move(handler);
@@ -204,19 +203,58 @@ class RuntimeSystem {
   }
 
  private:
+  /// A worker's FIFO of queued tasks (plus push_front, for a failover
+  /// victim) on a power-of-two ring. A streaming std::deque allocates and
+  /// frees a node every few tasks; this allocates only to grow.
+  class TaskQueue {
+   public:
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    Task& front() { return ring_[head_]; }
+    void push_back(Task task) {
+      grow_if_full();
+      ring_[(head_ + size_) & (ring_.size() - 1)] = std::move(task);
+      ++size_;
+    }
+    void push_front(Task task) {
+      grow_if_full();
+      head_ = (head_ + ring_.size() - 1) & (ring_.size() - 1);
+      ring_[head_] = std::move(task);
+      ++size_;
+    }
+    void pop_front() {
+      head_ = (head_ + 1) & (ring_.size() - 1);
+      --size_;
+    }
+
+   private:
+    void grow_if_full() {
+      if (size_ < ring_.size()) return;
+      std::vector<Task> bigger(std::max<std::size_t>(8, 2 * ring_.size()));
+      for (std::size_t i = 0; i < size_; ++i) {
+        bigger[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+      }
+      ring_ = std::move(bigger);
+      head_ = 0;
+    }
+
+    std::vector<Task> ring_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+
   struct WorkerState {
-    std::deque<Task> queue;
+    TaskQueue queue;
     bool busy = false;
     /// Bumped at every dispatch and every crash: a completion event whose
     /// epoch is stale belongs to an attempt the crash destroyed (the
     /// simulator has no event cancellation).
     std::uint64_t epoch = 0;
-    /// Attempt currently executing (live fault path bookkeeping).
+    /// The attempt executing — or, after a crash, parked until the
+    /// heartbeat monitor detects it: its task and its result-to-be.
     bool in_flight = false;
     Task current{};
-    SimTime exec_start = 0;
-    SimTime exec_finish = 0;
-    Picojoules exec_energy = 0.0;
+    TaskResult result{};
     /// The *runtime's* view of liveness: set only once the heartbeat
     /// monitor detects the crash (detect_timeout after the fact), cleared
     /// on repair. HealthRegistry knows sooner; the scheduler must not.
@@ -235,6 +273,9 @@ class RuntimeSystem {
   std::size_t spill_target(std::size_t worker, const Task& task,
                            int hops) const;
   void dispatch(std::size_t worker);
+  /// Completion event of the attempt dispatched on `worker` with `epoch`
+  /// (a no-op if a crash destroyed it).
+  void complete(std::size_t worker, std::uint64_t epoch);
   /// Choose the queue a task should land in; returns flat worker index and
   /// charges any monitoring/forwarding costs.
   std::size_t route(const Task& task);
@@ -275,7 +316,6 @@ class RuntimeSystem {
   Timeline dispatcher_{"dispatcher"};  // centralized mode serialisation
   CostPredictor predictor_;
   std::vector<TaskResult> results_;
-  std::map<TaskId, bool> forwarded_;
   std::uint64_t monitor_messages_ = 0;
   std::uint64_t pending_ = 0;
   std::uint64_t shed_tasks_ = 0;

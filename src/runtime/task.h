@@ -21,6 +21,10 @@ struct Task {
   TaskFeatures features;
   /// Preferred worker: where the task's data partition lives.
   WorkerCoord home;
+  /// Left its home worker's queue: set by the runtime where it routes the
+  /// task away from home or spills it, kept across failover re-arrivals,
+  /// and reported as TaskResult::forwarded.
+  bool forwarded = false;
   /// Release (arrival) time.
   SimTime release = 0;
   /// Opaque application payload, carried untouched through routing,

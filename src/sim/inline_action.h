@@ -3,7 +3,7 @@
 // Scheduling an event used to cost one heap allocation per std::function
 // (libstdc++ spills any capture over 16 bytes). InlineAction stores captures
 // up to kInlineBytes directly inside the event record; larger captures spill
-// to a thread-local block pool, so steady-state scheduling performs no heap
+// to a recycled block pool, so steady-state scheduling performs no heap
 // allocation at all. Move-only: an action is scheduled once and executed
 // once, so copyability would only force captures to be copyable for nothing.
 #pragma once
@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <mutex>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -23,17 +24,26 @@ namespace detail {
 
 /// Fixed-size block pool for actions whose captures exceed the inline
 /// buffer. Blocks are recycled through a thread-local free list: after the
-/// first few spills a simulation reuses the same blocks forever. Each
-/// Simulator lives on one thread (the parallel sweep harness gives every
-/// sweep point its own), so a thread-local list needs no locking; a block
-/// freed on a different thread than it was allocated on simply migrates.
+/// first few spills a simulation reuses the same blocks forever. A block
+/// freed on a different thread than it was allocated on migrates — the
+/// parallel engine does this all the time, since a shard's windows run on
+/// whichever thread claims them and cross-shard posts free on the
+/// destination's thread. So a thread whose list outgrows kMaxFree hands
+/// kTransfer blocks to a shared list, and a thread whose list runs dry
+/// takes kTransfer back before it touches the heap: the heap is reached
+/// only while every other thread's list is nearly empty too, so the block
+/// count stays bounded by the peak live count plus the per-thread caps.
+/// The shared list is locked once per kTransfer blocks.
 class ActionBlockPool {
  public:
   static constexpr std::size_t kBlockBytes = 256;
-  static constexpr std::size_t kMaxFree = 1024;  // cap retained blocks
+  static constexpr std::size_t kMaxFree = 64;    // per-thread retained cap
+  static constexpr std::size_t kTransfer = 32;   // blocks per shared trip
+  static constexpr std::size_t kMaxShared = 16384;  // shared retained cap
 
   static void* allocate() {
     Freelist& fl = freelist();
+    if (fl.head == nullptr) refill(fl);
     if (fl.head != nullptr) {
       Node* n = fl.head;
       fl.head = n->next;
@@ -47,18 +57,14 @@ class ActionBlockPool {
 
   static void deallocate(void* p) {
     Freelist& fl = freelist();
-    if (fl.count < kMaxFree) {
-      Node* n = static_cast<Node*>(p);
-      n->next = fl.head;
-      fl.head = n;
-      ++fl.count;
-      return;
-    }
-    ::operator delete(p, std::align_val_t{alignof(Node)});
+    Node* n = static_cast<Node*>(p);
+    n->next = fl.head;
+    fl.head = n;
+    if (++fl.count > kMaxFree) spill(fl, kTransfer);
   }
 
   struct Stats {
-    std::uint64_t pool_hits = 0;    // spills served from the free list
+    std::uint64_t pool_hits = 0;    // spills served from a free list
     std::uint64_t pool_misses = 0;  // spills that hit the heap
   };
   static Stats& stats() {
@@ -70,20 +76,58 @@ class ActionBlockPool {
   struct alignas(std::max_align_t) Node {
     Node* next;
   };
+  struct Shared {
+    std::mutex mu;
+    Node* head = nullptr;
+    std::size_t count = 0;
+  };
   struct Freelist {
     Node* head = nullptr;
     std::size_t count = 0;
-    ~Freelist() {
-      while (head != nullptr) {
-        Node* n = head;
-        head = n->next;
-        ::operator delete(n, std::align_val_t{alignof(Node)});
-      }
-    }
+    // A finished thread's blocks serve the threads that outlive it.
+    ~Freelist() { spill(*this, count); }
   };
   static Freelist& freelist() {
     thread_local Freelist fl;
     return fl;
+  }
+  // Leaked: thread-exit spills may run after static destruction begins.
+  static Shared& shared() {
+    static Shared* s = new Shared;
+    return *s;
+  }
+
+  /// Move up to kTransfer blocks from the shared list to `fl`.
+  static void refill(Freelist& fl) {
+    Shared& sh = shared();
+    std::lock_guard<std::mutex> lock(sh.mu);
+    for (std::size_t i = 0; i < kTransfer && sh.head != nullptr; ++i) {
+      Node* n = sh.head;
+      sh.head = n->next;
+      --sh.count;
+      n->next = fl.head;
+      fl.head = n;
+      ++fl.count;
+    }
+  }
+
+  /// Move `k` blocks from `fl` to the shared list (past its cap, to the
+  /// heap).
+  static void spill(Freelist& fl, std::size_t k) {
+    Shared& sh = shared();
+    std::lock_guard<std::mutex> lock(sh.mu);
+    for (; k > 0 && fl.head != nullptr; --k) {
+      Node* n = fl.head;
+      fl.head = n->next;
+      --fl.count;
+      if (sh.count >= kMaxShared) {
+        ::operator delete(n, std::align_val_t{alignof(Node)});
+        continue;
+      }
+      n->next = sh.head;
+      sh.head = n;
+      ++sh.count;
+    }
   }
 };
 

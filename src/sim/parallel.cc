@@ -1,6 +1,7 @@
 #include "sim/parallel.h"
 
 #include <algorithm>
+#include <chrono>
 #include <thread>
 
 #if defined(__linux__)
@@ -190,15 +191,14 @@ ShardedSimulator::ShardedSimulator(ShardedConfig config)
     // Lane 0 stays the classic single-engine lane; shard s gets lane s+1.
     shards_.back()->sim.set_trace_lane(static_cast<std::uint16_t>(s + 1));
   }
-  // Reserve every per-round buffer up front so the steady state allocates
-  // nothing (sim_alloc_test gates this at --sim-threads > 1).
+  // Reserve the ready queues up front so the steady state allocates
+  // nothing (sim_alloc_test gates this at --sim-threads > 1). Mailboxes are
+  // reserved by their first use (kOutboxReserve).
   slots_.reserve(threads_);
   for (std::size_t t = 0; t < threads_; ++t) {
     slots_.push_back(std::make_unique<WorkerSlot>());
-    WorkerSlot& slot = *slots_.back();
-    slot.outbox.reserve(kOutboxReserve);
-    slot.inbox.reserve(kOutboxReserve);
-    slot.queue.reserve((t + 1) * nshards / threads_ - t * nshards / threads_);
+    slots_.back()->queue.reserve((t + 1) * nshards / threads_ -
+                                 t * nshards / threads_);
   }
   next_times_.assign(nshards, kNever);
 
@@ -350,6 +350,9 @@ void ShardedSimulator::post_message(std::size_t from, std::size_t to,
   // latency into `from` — so the posting shard's window must stop before
   // that time.
   src.sim.tighten_run_bound(t + dest_floor_[from]);
+  // Only outbox 0 can still be unreserved here: a parallel stretch has
+  // reserved them all.
+  if (tls_run_context.outbox->capacity() == 0) reserve_mailboxes(1);
   tls_run_context.outbox->push_back(
       ShardMessage{t, static_cast<std::uint32_t>(from),
                    static_cast<std::uint32_t>(to), src.post_seq++,
@@ -369,6 +372,13 @@ bool ShardedSimulator::run_shard_window(std::size_t s, SimTime end,
   }
   tls_run_context = saved;
   return ok;
+}
+
+void ShardedSimulator::reserve_mailboxes(std::size_t count) {
+  for (std::size_t t = 0; t < count; ++t) {
+    slots_[t]->outbox.reserve(kOutboxReserve);
+    slots_[t]->inbox.reserve(kOutboxReserve);
+  }
 }
 
 void ShardedSimulator::rethrow_shard_error() {
@@ -409,6 +419,17 @@ SimTime ShardedSimulator::shard_horizon(std::size_t d,
   return std::min(plan.src_arg == d ? plan.src2 : plan.src1, run_bound_);
 }
 
+bool ShardedSimulator::surely_stalled(std::size_t d,
+                                      const RoundPlan& plan) const {
+  // Only the dense horizon costs O(shards); the collapsed one is O(1).
+  // The floor shard f != d bounds the column minimum from above:
+  // horizon(d) <= min(floor + L(f, d), run_bound_).
+  if (pair_matrix_.empty() || plan.floor_arg == d) return false;
+  const SimTime cap =
+      plan.floor + pair_matrix_[plan.floor_arg * shards_.size() + d];
+  return std::min(cap, run_bound_) <= next_times_[d];
+}
+
 void ShardedSimulator::prepare_run() {
   trace_prev_valid_ = false;
   // Seed next-event times, ready queues and fold partials — the same scan
@@ -425,6 +446,7 @@ void ShardedSimulator::fold_range(std::size_t slot) {
   const std::size_t hi = range_begin(slot + 1);
   me.queue.clear();
   me.part_floor = kNever;
+  me.part_floor_arg = 0;
   me.part_src1 = kNever;
   me.part_src2 = kNever;
   me.part_src_arg = 0;
@@ -434,7 +456,11 @@ void ShardedSimulator::fold_range(std::size_t slot) {
     next_times_[d] = next;
     if (next == kNever) continue;
     me.queue.push_back(static_cast<std::uint32_t>(d));
-    me.part_floor = std::min(me.part_floor, next);
+    if (next < me.part_floor) {
+      me.part_floor = next;
+      me.part_floor_arg = static_cast<std::uint32_t>(d);
+    }
+    if (!pair_matrix_.empty()) continue;  // dense horizons skip the top-2
     fold_top2(next + source_floor_[d], static_cast<std::uint32_t>(d),
               me.part_src1, me.part_src2, me.part_src_arg);
   }
@@ -463,7 +489,10 @@ ShardedSimulator::RoundPlan ShardedSimulator::plan_round(std::size_t tid) {
   RoundPlan plan;
   bool failed = false;
   for (const auto& slot : slots_) {
-    plan.floor = std::min(plan.floor, slot->part_floor);
+    if (slot->part_floor < plan.floor) {
+      plan.floor = slot->part_floor;
+      plan.floor_arg = slot->part_floor_arg;
+    }
     fold_top2(slot->part_src1, slot->part_src_arg, plan.src1, plan.src2,
               plan.src_arg);
     plan.src2 = std::min(plan.src2, slot->part_src2);
@@ -511,42 +540,62 @@ ShardedSimulator::RoundPlan ShardedSimulator::plan_round(std::size_t tid) {
 }
 
 ShardedSimulator::RoundTally ShardedSimulator::execute_round(
-    std::size_t tid, const RoundPlan& plan) {
+    std::size_t tid, const RoundPlan& plan, bool solo) {
   WorkerSlot& me = *slots_[tid];
   // Every exchange that read this outbox finished before the last gate.
   me.outbox.clear();
   RoundTally tally;
-  const std::size_t nthreads = threads_;
-  // Claim shard windows: own queue first, then sweep the other queues
-  // round-robin. Queues are fixed for the round, so one sweep claims
-  // every candidate exactly once (atomic cursor bump), and whichever
-  // thread claims a shard never affects results — only which outbox its
-  // messages ride, which the canonical merge washes out.
-  for (std::size_t v = 0; v < nthreads; ++v) {
-    WorkerSlot& q = *slots_[(tid + v) % nthreads];
-    const bool stolen = v != 0;
-    for (;;) {
-      const std::uint32_t idx =
-          q.cursor.fetch_add(1, std::memory_order_relaxed);
-      if (idx >= q.queue.size()) break;
-      const std::size_t d = q.queue[idx];
-      const SimTime horizon = shard_horizon(d, plan);
-      tally.min_horizon = std::min(tally.min_horizon, horizon);
-      if (stolen) ++tally.stolen;
-      if (horizon > next_times_[d]) {
-        ++tally.executed;
-        const std::uint64_t before = shards_[d]->sim.events_processed();
-        if (!run_shard_window(d, horizon, tid)) tally.failed = true;
-        const std::uint64_t ran = shards_[d]->sim.events_processed() - before;
-        tally.events += ran;
-        tally.max_window = std::max(tally.max_window, ran);
-      } else {
-        // Pending work the horizon forbade: a barrier stall. Deterministic
-        // (horizons derive from published simulation state only).
-        ++tally.stalled;
+  // The trace span ends at the round's smallest horizon, stalled shards'
+  // included, so a recording run computes every horizon exactly.
+  const bool exact = obs::recording(obs::Cat::kSim);
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto run = [&](std::size_t d) {
+    if (!exact && surely_stalled(d, plan)) {
+      ++tally.stalled;
+      return;
+    }
+    const SimTime horizon = shard_horizon(d, plan);
+    tally.min_horizon = std::min(tally.min_horizon, horizon);
+    if (horizon > next_times_[d]) {
+      ++tally.executed;
+      const std::uint64_t before = shards_[d]->sim.events_processed();
+      if (!run_shard_window(d, horizon, tid)) tally.failed = true;
+      const std::uint64_t ran = shards_[d]->sim.events_processed() - before;
+      tally.events += ran;
+      tally.max_window = std::max(tally.max_window, ran);
+    } else {
+      // Pending work the horizon forbade: a barrier stall. Deterministic
+      // (horizons derive from published simulation state only).
+      ++tally.stalled;
+    }
+  };
+  if (solo) {
+    // One thread claims every candidate, in queue order.
+    for (const auto& slot : slots_) {
+      for (const std::uint32_t d : slot->queue) run(d);
+    }
+  } else {
+    // Claim shard windows: own queue first, then sweep the other queues
+    // round-robin. Queues are fixed for the round, so one sweep claims
+    // every candidate exactly once (atomic cursor bump), and whichever
+    // thread claims a shard never affects results — only which outbox its
+    // messages ride, which the canonical merge washes out.
+    const std::size_t nthreads = threads_;
+    for (std::size_t v = 0; v < nthreads; ++v) {
+      WorkerSlot& q = *slots_[(tid + v) % nthreads];
+      for (;;) {
+        const std::uint32_t idx =
+            q.cursor.fetch_add(1, std::memory_order_relaxed);
+        if (idx >= q.queue.size()) break;
+        if (v != 0) ++tally.stolen;
+        run(q.queue[idx]);
       }
     }
   }
+  me.busy_ns += static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
   return tally;
 }
 
@@ -597,8 +646,7 @@ bool ShardedSimulator::drive(std::size_t tid, RoundGate* gate) {
   for (std::size_t r = 0; r < budget; ++r) {
     const RoundPlan plan = plan_round(tid);
     if (plan.done) return true;
-    RoundTally tally = execute_round(tid, plan);
-    if (gate == nullptr) tally.stolen = 0;  // one thread steals from no one
+    const RoundTally tally = execute_round(tid, plan, gate == nullptr);
     if (gate) gate->sync();  // every window finished, every outbox final
     exchange(tid, gate == nullptr, tally);
     if (gate) gate->sync();  // tallies and partials published
@@ -611,6 +659,7 @@ bool ShardedSimulator::run_parallel() {
     // Spawned by the first parallel stretch, not at construction, and kept
     // for the engine's lifetime: a later stretch costs a gate crossing,
     // not threads-1 spawns and joins.
+    reserve_mailboxes(threads_);
     gate_ = std::make_unique<RoundGate>(static_cast<std::uint32_t>(threads_));
     const std::size_t home = current_cpu();
     workers_.reserve(threads_ - 1);
@@ -680,7 +729,9 @@ std::uint64_t ShardedSimulator::mailbox_spills() const {
 }
 
 std::size_t ShardedSimulator::mailbox_state_bytes() const {
-  return threads_ * kOutboxReserve * sizeof(ShardMessage);
+  std::size_t messages = 0;
+  for (const auto& slot : slots_) messages += slot->outbox.capacity();
+  return messages * sizeof(ShardMessage);
 }
 
 std::uint64_t ShardedSimulator::events_processed() const {
@@ -698,10 +749,9 @@ SimTime ShardedSimulator::now() const {
 }
 
 std::uint64_t ShardedSimulator::shard_wall_time_ns() const {
-  return reduce_tree<std::uint64_t>(
-      shards_.size(), 0,
-      [&](std::size_t s) { return shards_[s]->sim.wall_time_ns(); },
-      [](std::uint64_t a, std::uint64_t b) { return a + b; });
+  std::uint64_t total = 0;
+  for (const auto& slot : slots_) total += slot->busy_ns;
+  return total;
 }
 
 }  // namespace ecoscale

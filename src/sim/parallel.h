@@ -63,7 +63,12 @@
 // steals windows from a loaded peer, so shards >> threads no longer
 // serializes behind the static stripe. Claiming is an atomic cursor bump
 // per queue (the queues are pre-populated each round, so the classic
-// Chase-Lev push/steal races don't arise). Which thread runs a window
+// Chase-Lev push/steal races don't arise); a solo round walks the queues
+// in order without it. A shard whose horizon cannot pass its next event
+// is rejected in O(1) before the exact O(shards) horizon is computed:
+// the floor shard f != d caps the horizon at floor + L(f, d). (While the
+// kSim trace category records, every horizon is computed, because the
+// round's trace span ends at the smallest of them.) Which thread runs a window
 // never affects results: the shard's trace lane and post() sequence
 // counter travel with the shard, and the merge key orders messages
 // independently of the outbox they rode.
@@ -176,9 +181,11 @@ struct ShardedConfig {
 
 class ShardedSimulator {
  public:
-  /// Messages each worker thread's outbox holds without allocating
-  /// (reserved at construction). A round whose windows post more on one
-  /// thread grows that outbox — counted in mailbox_spills().
+  /// Messages each worker thread's outbox holds without allocating. Outbox
+  /// 0 reserves at its first post, every other one when the first parallel
+  /// stretch spawns the pool, so an engine that never posts (or never
+  /// wakes the pool) reserves nothing. A round whose windows post more on
+  /// one thread grows that outbox — counted in mailbox_spills().
   static constexpr std::size_t kOutboxReserve = 1024;
   /// Parallel slack (events a round retired outside its busiest shard
   /// window) from which a round counts as dense.
@@ -262,15 +269,18 @@ class ShardedSimulator {
   /// how many shards share a thread, so this varies with the thread count
   /// (simulation results never do).
   std::uint64_t mailbox_spills() const;
-  /// Bytes of cross-shard buffering: the per-thread outbox reserves.
-  /// O(threads · reserve), where a per-pair scheme is O(shards² · reserve).
+  /// Bytes of cross-shard buffering held now: the outbox capacities. 0
+  /// until the first post, one reserve after solo posts, and O(threads ·
+  /// reserve) once the pool has run — a per-pair scheme is O(shards² ·
+  /// reserve).
   std::size_t mailbox_state_bytes() const;
   /// Events retired across all shards.
   std::uint64_t events_processed() const;
   /// Frontier of simulated time: max over the shard clocks.
   SimTime now() const;
-  /// Wall time spent retiring events, summed over shards (CPU time, not
-  /// elapsed time — shards run concurrently).
+  /// Wall time of the execute phases, summed over threads (CPU time, not
+  /// elapsed time — threads run concurrently): the shard windows plus the
+  /// claiming and horizons around them, read once per thread per round.
   std::uint64_t shard_wall_time_ns() const;
 
  private:
@@ -289,6 +299,7 @@ class ShardedSimulator {
   /// One round's plan: the fold of every thread's published partials.
   struct RoundPlan {
     SimTime floor = kNever;  // global next-event floor
+    std::uint32_t floor_arg = 0;  // a shard whose next event is the floor
     SimTime src1 = kNever;   // top-2 of next_s + source_floor_[s]
     SimTime src2 = kNever;
     std::uint32_t src_arg = 0;
@@ -333,11 +344,13 @@ class ShardedSimulator {
     std::vector<ShardMessage> outbox;
     std::vector<InboxItem> inbox;
     std::uint64_t spills = 0;
+    std::uint64_t busy_ns = 0;  // execute-phase wall time
     RoundTally tally;
     // Fold partials over the thread's contiguous shard range: min next
-    // event time, and top-2 (value, runner-up, argmin) of
+    // event time (and its shard), and top-2 (value, runner-up, argmin) of
     // next + source_floor for the collapsed adaptive horizon.
     SimTime part_floor = kNever;
+    std::uint32_t part_floor_arg = 0;
     SimTime part_src1 = kNever;
     SimTime part_src2 = kNever;
     std::uint32_t part_src_arg = 0;
@@ -368,8 +381,11 @@ class ShardedSimulator {
   /// Thread 0 also accounts the previous round's tallies, emits its trace
   /// span/counters and counts the new window.
   RoundPlan plan_round(std::size_t tid);
-  /// Claim shards (own queue, then steal) and run their windows.
-  RoundTally execute_round(std::size_t tid, const RoundPlan& plan);
+  /// Claim shards (own queue, then steal; every queue in order when
+  /// `solo`) and run their windows.
+  RoundTally execute_round(std::size_t tid, const RoundPlan& plan, bool solo);
+  /// Reserve the outboxes and inbox scratch of slots [0, count).
+  void reserve_mailboxes(std::size_t count);
   /// Insert the messages addressed to slot `tid`'s shards (every shard in
   /// a solo round) in canonical order, then publish the tally and partials.
   void exchange(std::size_t tid, bool solo, RoundTally tally);
@@ -377,6 +393,9 @@ class ShardedSimulator {
   void fold_range(std::size_t slot);
   /// The per-shard execution horizon for this round (see file comment).
   SimTime shard_horizon(std::size_t d, const RoundPlan& plan) const;
+  /// O(1) sufficient test that shard `d` stalls this round (its horizon
+  /// cannot pass its next event); false means "compute the horizon".
+  bool surely_stalled(std::size_t d, const RoundPlan& plan) const;
   /// One worker's loop for a stretch of up to `stretch_` rounds (`gate`
   /// null: solo). Both return true when the segment is over.
   bool drive(std::size_t tid, RoundGate* gate);

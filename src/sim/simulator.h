@@ -112,12 +112,12 @@ class Simulator {
   /// clock at the last retired event (NOT at `end`). This is the window
   /// primitive of the sharded parallel engine: events delivered from other
   /// shards at exactly the window edge must still be schedulable, so the
-  /// clock never advances past what actually executed.
+  /// clock never advances past what actually executed. Untimed: the engine
+  /// times each execute phase as a whole (ShardedSimulator::
+  /// shard_wall_time_ns), which saves two clock reads per window.
   void run_before(SimTime end) {
-    const auto t0 = Clock::now();
     run_bound_ = end;
     while (has_due_before(run_bound_)) step_untimed();
-    wall_ns_ += elapsed_ns(t0);
   }
 
   /// Tighten the bound of the run_before() call currently executing this

@@ -190,10 +190,14 @@ std::optional<UnilogicInvoke> UnilogicPool::invoke(
                                       result.finish);
       result.finish = back.arrival;
       result.energy += back.energy;
-      energy_.charge("unilogic.remote", result.energy);
+      static const CounterId kRemoteId =
+          CounterRegistry::intern("unilogic.remote");
+      energy_.charge(kRemoteId, result.energy);
     } else {
       ++local_invocations_;
-      energy_.charge("unilogic.local", result.energy);
+      static const CounterId kLocalId =
+          CounterRegistry::intern("unilogic.local");
+      energy_.charge(kLocalId, result.energy);
     }
     if (wasted > 0.0) {
       energy_.charge(pool_trace_names().wasted, wasted);

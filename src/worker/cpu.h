@@ -68,7 +68,8 @@ class CpuCluster {
     e.start = start;
     e.finish = start + service;
     e.energy = config_.pj_per_cycle * cycles;
-    energy_.charge("cpu.dynamic", e.energy);
+    static const CounterId kDynamicId = CounterRegistry::intern("cpu.dynamic");
+    energy_.charge(kDynamicId, e.energy);
     return e;
   }
 

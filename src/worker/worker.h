@@ -68,7 +68,8 @@ class Worker {
     r.finish = e.finish;
     r.energy = e.energy;
     r.hardware = false;
-    energy_.charge("worker.sw", e.energy);
+    static const CounterId kSwId = CounterRegistry::intern("worker.sw");
+    energy_.charge(kSwId, e.energy);
     return r;
   }
 
@@ -99,8 +100,11 @@ class Worker {
                config_.accel_mem_pj_per_byte * static_cast<double>(moved);
     r.hardware = true;
     r.reconfigured = load->reconfigured;
-    energy_.charge("worker.hw", call.energy);
-    energy_.charge("worker.hw_mem",
+    static const CounterId kHwId = CounterRegistry::intern("worker.hw");
+    static const CounterId kHwMemId =
+        CounterRegistry::intern("worker.hw_mem");
+    energy_.charge(kHwId, call.energy);
+    energy_.charge(kHwMemId,
                    config_.accel_mem_pj_per_byte * static_cast<double>(moved));
     return r;
   }

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "model/predictor.h"
@@ -190,6 +195,103 @@ TEST(Predictor, PredictionsClampedNonNegative) {
   f.items = 100.0;  // extrapolates to negative time
   const auto p = pred.predict(k, DeviceClass::kCpu, f);
   EXPECT_GE(p.time_ns, 0.0);
+}
+
+// Bitwise equality of two doubles (== would conflate -0.0 and +0.0).
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// Every read of `a` and `b` agrees bit for bit: per-pair observation
+// counts, both models' coefficients and prequential error, and the
+// predictions for `queries`.
+void expect_same_models(const CostPredictor& a, const CostPredictor& b,
+                        const std::vector<KernelIR>& kernels,
+                        const std::vector<TaskFeatures>& queries) {
+  for (const KernelIR& k : kernels) {
+    for (const DeviceClass d :
+         {DeviceClass::kCpu, DeviceClass::kLocalFabric,
+          DeviceClass::kRemoteFabric}) {
+      SCOPED_TRACE(std::string(device_class_name(d)) + " kernel " +
+                   std::to_string(k.id));
+      EXPECT_EQ(a.observations(k.id, d), b.observations(k.id, d));
+      const CostPredictor::Models* ma = a.models(k.id, d);
+      const CostPredictor::Models* mb = b.models(k.id, d);
+      ASSERT_EQ(ma == nullptr, mb == nullptr);
+      if (ma != nullptr) {
+        for (const auto member : {&CostPredictor::Models::time,
+                                  &CostPredictor::Models::energy}) {
+          const RidgeRegression& ra = ma->*member;
+          const RidgeRegression& rb = mb->*member;
+          EXPECT_TRUE(same_bits(ra.mean_abs_error(), rb.mean_abs_error()));
+          const std::vector<double> ca = ra.coefficients();
+          const std::vector<double> cb = rb.coefficients();
+          ASSERT_EQ(ca.size(), cb.size());
+          for (std::size_t i = 0; i < ca.size(); ++i) {
+            EXPECT_TRUE(same_bits(ca[i], cb[i])) << "coefficient " << i;
+          }
+        }
+      }
+      for (const TaskFeatures& f : queries) {
+        const Prediction pa = a.predict(k, d, f);
+        const Prediction pb = b.predict(k, d, f);
+        EXPECT_EQ(pa.from_model, pb.from_model);
+        EXPECT_TRUE(same_bits(pa.time_ns, pb.time_ns));
+        EXPECT_TRUE(same_bits(pa.energy_pj, pb.energy_pj));
+      }
+    }
+  }
+}
+
+TEST(Predictor, LazyTrainingMatchesEagerBitForBit) {
+  // One randomized record stream into two predictors: `eager` reads after
+  // every observe(), which trains each record on arrival (the old eager
+  // path); `lazy` is read only at the end, so it replays the whole history
+  // at once. A history file restored by load() is lazy too.
+  const std::vector<KernelIR> kernels = {make_montecarlo_kernel(),
+                                         make_stencil5_kernel(),
+                                         make_spmv_kernel()};
+  Rng rng(0x1A2Bu);
+  const auto random_features = [&] {
+    TaskFeatures f;
+    f.items = std::floor(rng.uniform(1, 5000));
+    f.bytes = f.items * std::floor(rng.uniform(4, 64));
+    f.reuse = rng.uniform(1, 4);
+    f.branchiness = rng.uniform(0, 0.5);
+    return f;
+  };
+  CostPredictor eager;
+  CostPredictor lazy;
+  for (int i = 0; i < 3000; ++i) {
+    HistoryRecord r;
+    const KernelIR& k = kernels[rng.uniform_u64(kernels.size())];
+    r.kernel = k.id;
+    r.device = static_cast<DeviceClass>(rng.uniform_u64(3));
+    r.features = random_features();
+    r.time_ns = 40.0 + 3.0 * r.features.items + rng.normal(0, 25.0);
+    r.energy_pj = 9.0 * r.features.items + rng.normal(0, 100.0);
+    eager.observe(r);
+    lazy.observe(r);
+    ASSERT_EQ(eager.observations(r.kernel, r.device),
+              eager.models(r.kernel, r.device)->time.observations());
+    eager.predict(k, r.device, random_features());
+  }
+  std::vector<TaskFeatures> queries;
+  for (int i = 0; i < 8; ++i) queries.push_back(random_features());
+  expect_same_models(eager, lazy, kernels, queries);
+
+  // The history file stores decimal text, so compare the restored
+  // predictor with one trained eagerly on the records it read back.
+  std::stringstream file;
+  eager.save(file);
+  const CostPredictor restored = CostPredictor::load(file);
+  ASSERT_EQ(restored.records().size(), 3000u);
+  CostPredictor reread;
+  for (const HistoryRecord& r : restored.records()) {
+    reread.observe(r);
+    reread.observations(r.kernel, r.device);
+  }
+  expect_same_models(reread, restored, kernels, queries);
 }
 
 TEST(DeviceClassNames, Stable) {

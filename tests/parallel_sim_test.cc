@@ -13,7 +13,9 @@
 #include <limits>
 #include <numeric>
 #include <memory>
+#include <ostream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,7 +28,10 @@
 #include "hls/ir.h"
 #include "interconnect/network.h"
 #include "interconnect/topology.h"
+#include "obs/trace.h"
 #include "runtime/sharded.h"
+#include "serve/kvstore.h"
+#include "serve/loadgen.h"
 #include "sharded_test_peer.h"
 #include "sim/parallel.h"
 #include "unimem/pgas.h"
@@ -600,7 +605,10 @@ struct ImbalancedResult {
   std::uint64_t steals = 0;
 };
 
-ImbalancedResult imbalanced_run(std::size_t threads) {
+using PairOracle = std::function<SimDuration(std::size_t, std::size_t)>;
+
+ImbalancedResult imbalanced_run(std::size_t threads,
+                                PairOracle pair_lookahead = {}) {
   constexpr std::size_t kShards = 64;  // shards >> threads: claim queues
   constexpr SimTime kPeriod = 20000;
   constexpr int kEpochs = 6;
@@ -608,6 +616,7 @@ ImbalancedResult imbalanced_run(std::size_t threads) {
   sc.shards = kShards;
   sc.lookahead = 200;
   sc.threads = threads;
+  sc.pair_lookahead = std::move(pair_lookahead);
   ShardedSimulator engine(sc);
   std::vector<TraceHasher> hashes(kShards);
   HotActor hot;
@@ -1316,6 +1325,132 @@ TEST(ShardedRuntime, ForwardedTasksPayTheInterNodeLatency) {
       EXPECT_GE(rt.inter_node_latency(from, to), rt.lookahead());
     }
   }
+}
+
+// --- O(1) stall rejection ----------------------------------------------------
+//
+// A shard whose horizon cannot pass its next event is rejected before the
+// exact O(shards) horizon is computed — except while the kSim trace
+// category records, because the round's trace span ends at the smallest
+// horizon. The rejection must be invisible: the same rounds, windows and
+// stalls with and without a recording session. The fast test only applies
+// to the dense pair matrix, so every scenario here runs with a pair
+// oracle.
+
+// Ring-distance latency, capped at the mesh's 200-tick post distance so
+// every post of the scenarios below stays legal. A metric: each entry is
+// in [125, 200], so any two legs sum past any one entry.
+SimDuration capped_ring_latency(std::size_t shards, std::size_t a,
+                                std::size_t b) {
+  const std::size_t d = a > b ? a - b : b - a;
+  const std::size_t ring = std::min(d, shards - d);
+  return std::min<SimDuration>(200, 100 + 25 * ring);
+}
+
+struct RoundCounts {
+  std::uint64_t fingerprint = 0;
+  std::uint64_t windows = 0;
+  std::uint64_t shard_windows = 0;
+  std::uint64_t stalled = 0;
+  bool operator==(const RoundCounts&) const = default;
+  friend std::ostream& operator<<(std::ostream& os, const RoundCounts& r) {
+    return os << "{fingerprint " << r.fingerprint << ", windows " << r.windows
+              << ", shard windows " << r.shard_windows << ", stalled "
+              << r.stalled << "}";
+  }
+};
+
+RoundCounts round_counts(const ShardedSimulator& engine,
+                         std::uint64_t fingerprint) {
+  return RoundCounts{fingerprint, engine.windows(), engine.shard_windows(),
+                     engine.stalled_shard_windows()};
+}
+
+// Runs `scenario` at 1 thread and at 4 threads pinned to the pool, each
+// without and with a kSim trace session recording, and expects all four
+// runs to agree on every round count and fingerprint.
+void expect_stall_rejection_invisible(
+    const std::function<RoundCounts(std::size_t threads)>& scenario) {
+  std::vector<RoundCounts> runs;
+  for (const bool traced : {false, true}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE((traced ? "traced, " : "untraced, ") +
+                   std::to_string(threads) + " threads");
+      ShardedSimulatorTestPeer::PinNewEngines pin;
+      if (traced) {
+        obs::TraceOptions topts;
+        topts.categories = obs::cat_bit(obs::Cat::kSim);
+        topts.ring_capacity = 1u << 12;
+        obs::TraceSession::instance().start(topts);
+      }
+      runs.push_back(scenario(threads));
+      if (traced) {
+        EXPECT_GT(obs::TraceSession::instance().events_recorded(), 0u);
+        obs::TraceSession::instance().stop();
+      }
+      if (threads > 1) {
+        EXPECT_GT(pin.parallel_rounds(), 0u);
+      }
+    }
+  }
+  EXPECT_GT(runs.front().stalled, 0u) << "no stall to reject";
+  for (const RoundCounts& r : runs) EXPECT_EQ(r, runs.front());
+}
+
+TEST(StallRejection, BalancedMeshCountsIgnoreTracing) {
+  expect_stall_rejection_invisible([](std::size_t threads) {
+    ShardedConfig sc;
+    sc.shards = 8;
+    sc.lookahead = 200;
+    sc.threads = threads;
+    sc.pair_lookahead = [](std::size_t a, std::size_t b) {
+      return capped_ring_latency(8, a, b);
+    };
+    ShardedSimulator engine(sc);
+    std::vector<TraceHasher> hashes(8);
+    const auto actors = seed_mesh(engine, hashes, 200);
+    engine.run();
+    return round_counts(engine, mesh_fingerprint(engine, hashes));
+  });
+}
+
+TEST(StallRejection, ImbalancedMeshCountsIgnoreTracing) {
+  expect_stall_rejection_invisible([](std::size_t threads) {
+    const ImbalancedResult r =
+        imbalanced_run(threads, [](std::size_t a, std::size_t b) {
+          return capped_ring_latency(64, a, b);
+        });
+    return RoundCounts{r.hash, r.windows, r.shard_windows, r.stalled};
+  });
+}
+
+TEST(StallRejection, KvInstanceCountsIgnoreTracing) {
+  // An open-loop KV instance on the sharded runtime: its dense pair matrix
+  // comes from the inter-node interconnect.
+  expect_stall_rejection_invisible([](std::size_t threads) {
+    ShardedRuntimeConfig rc;
+    rc.nodes = 8;
+    rc.workers_per_node = 2;
+    rc.threads = threads;
+    rc.runtime.placement = PlacementPolicy::kAlwaysSoftware;
+    rc.runtime.distribution = DistributionPolicy::kHomeOnly;
+    rc.runtime.admission_limit = 32;
+    ShardedRuntime rt(rc);
+    serve::KvConfig kc;
+    kc.key_space = 1024;
+    kc.service_items = 500;
+    serve::KvStore kv(rt, kc);
+    serve::LoadGenConfig lg;
+    lg.offered_load = 4e6;
+    lg.requests_per_node = 150;
+    serve::LoadGen gen(rt, kv, lg);
+    gen.start();
+    rt.run();
+    TraceHasher h;
+    h.mix(gen.report().fingerprint);
+    h.mix(kv.apply_log_hash());
+    return round_counts(rt.engine(), h.h);
+  });
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "hls/dse.h"
 #include "runtime/allocator.h"
 #include "runtime/chain.h"
@@ -221,6 +223,83 @@ TEST(Runtime, LazySpillsUnderBurst) {
   const auto s = rig.runtime->stats();
   EXPECT_GT(s.forwarded_tasks, 0u);
   EXPECT_GT(s.monitor_messages, 0u);
+}
+
+const TaskResult& result_of(const RuntimeSystem& rt, TaskId id) {
+  const auto& results = rt.results();
+  const auto it =
+      std::find_if(results.begin(), results.end(),
+                   [id](const TaskResult& r) { return r.id == id; });
+  ECO_CHECK_MSG(it != results.end(), "task has no result");
+  return *it;
+}
+
+TEST(Runtime, ForwardedFlagMarksLazySpillsOnly) {
+  RuntimeConfig cfg;
+  cfg.placement = PlacementPolicy::kAlwaysSoftware;
+  cfg.distribution = DistributionPolicy::kLazyLocal;
+  cfg.spill_depth = 2;
+  SchedRig rig(cfg);
+  // Task 0 runs, task 1 queues behind it (depth 1 < 2), task 2 finds the
+  // queue at depth 2 and spills to a neighbour.
+  for (TaskId i = 0; i < 3; ++i) {
+    rig.runtime->submit(rig.make_task(i, 200000, {0, 0}));
+  }
+  rig.runtime->run();
+  EXPECT_FALSE(result_of(*rig.runtime, 0).forwarded);
+  EXPECT_EQ(result_of(*rig.runtime, 0).executed_on, 0u);
+  EXPECT_FALSE(result_of(*rig.runtime, 1).forwarded);
+  EXPECT_EQ(result_of(*rig.runtime, 1).executed_on, 0u);
+  EXPECT_TRUE(result_of(*rig.runtime, 2).forwarded);
+  EXPECT_NE(result_of(*rig.runtime, 2).executed_on, 0u);
+  EXPECT_EQ(rig.runtime->stats().forwarded_tasks, 1u);
+}
+
+TEST(Runtime, ForwardedFlagMarksCentralizedRoutes) {
+  RuntimeConfig cfg;
+  cfg.placement = PlacementPolicy::kAlwaysSoftware;
+  cfg.distribution = DistributionPolicy::kCentralized;
+  SchedRig rig(cfg);
+  // Task 0 finds every queue empty and stays home; task 1 sees home busy
+  // and is routed to the first idle worker.
+  for (TaskId i = 0; i < 2; ++i) {
+    rig.runtime->submit(rig.make_task(i, 200000, {0, 0}));
+  }
+  rig.runtime->run();
+  EXPECT_FALSE(result_of(*rig.runtime, 0).forwarded);
+  EXPECT_EQ(result_of(*rig.runtime, 0).executed_on, 0u);
+  EXPECT_TRUE(result_of(*rig.runtime, 1).forwarded);
+  EXPECT_EQ(result_of(*rig.runtime, 1).executed_on, 1u);
+  EXPECT_EQ(rig.runtime->stats().forwarded_tasks, 1u);
+}
+
+TEST(Runtime, FailoverKeepsFirstArrivalForwardedFlag) {
+  // Same two tasks, but workers 0 and 1 crash for good while both run.
+  // The heartbeat monitor re-queues each victim on a survivor; a failover
+  // re-arrival is not a forward, so each keeps the flag of its first
+  // arrival: task 0 (served at home) stays unforwarded although it
+  // completes elsewhere, task 1 (routed) stays forwarded.
+  RuntimeConfig cfg;
+  cfg.placement = PlacementPolicy::kAlwaysSoftware;
+  cfg.distribution = DistributionPolicy::kCentralized;
+  cfg.faults.enabled = true;
+  for (const std::size_t w : {0u, 1u}) {
+    cfg.faults.scripted_crashes.push_back(
+        CrashEvent{w, microseconds(10), /*permanent=*/true, 0});
+  }
+  SchedRig rig(cfg);
+  for (TaskId i = 0; i < 2; ++i) {
+    rig.runtime->submit(rig.make_task(i, 200000, {0, 0}));
+  }
+  rig.runtime->run();
+  ASSERT_EQ(rig.runtime->recovery_log().size(), 2u);
+  const TaskResult& home = result_of(*rig.runtime, 0);
+  const TaskResult& routed = result_of(*rig.runtime, 1);
+  EXPECT_GE(home.executed_on, 2u);
+  EXPECT_GE(routed.executed_on, 2u);
+  EXPECT_FALSE(home.forwarded);
+  EXPECT_TRUE(routed.forwarded);
+  EXPECT_EQ(rig.runtime->stats().forwarded_tasks, 1u);
 }
 
 TEST(Runtime, LazyTalksLessThanPollingOracle) {

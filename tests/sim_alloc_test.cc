@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <span>
 #include <vector>
@@ -18,6 +19,8 @@
 #include "interconnect/network.h"
 #include "interconnect/topology.h"
 #include "obs/trace.h"
+#include "runtime/sharded.h"
+#include "serve/kvstore.h"
 #include "sharded_test_peer.h"
 #include "sim/inline_action.h"
 #include "sim/parallel.h"
@@ -443,6 +446,100 @@ TEST(SimulatorAllocation, SoloStretchesAndModeSwitchesAreAllocationFree) {
   EXPECT_GT(parallel, 0u);
   EXPECT_LT(parallel, engine.windows() - rounds0);  // solo rounds ran too
   EXPECT_EQ(engine.mailbox_spills(), 0u);
+}
+
+// --- a served KV request ----------------------------------------------------
+
+// Closed-loop KV traffic on ShardedRuntime + KvStore: kClients clients per
+// origin node, each issuing its next request from inside the response
+// handler (on the origin shard) until the phase's budget is spent. A
+// request is the whole serving path: issue -> post to the owner -> queue ->
+// dispatch -> apply (timed PGAS access) -> response back at the origin.
+struct KvLoop {
+  static constexpr std::size_t kNodes = 4;
+  static constexpr std::size_t kClients = 4;
+
+  std::unique_ptr<ShardedRuntime> rt;
+  std::unique_ptr<serve::KvStore> kv;
+  // Per origin, touched only by events on the origin's shard: requests
+  // the phase may still issue, key stream state, issued count.
+  std::array<std::uint64_t, kNodes> budgets{};
+  std::array<std::uint64_t, kNodes> states{1, 2, 3, 4};
+  std::array<std::uint64_t, kNodes> ids{};
+
+  explicit KvLoop(std::size_t threads) {
+    ShardedRuntimeConfig rc;
+    rc.nodes = kNodes;
+    rc.workers_per_node = 2;
+    rc.threads = threads;
+    rc.runtime.placement = PlacementPolicy::kAlwaysSoftware;
+    rc.runtime.distribution = DistributionPolicy::kHomeOnly;
+    rt = std::make_unique<ShardedRuntime>(rc);
+    if (threads > 1) ShardedSimulatorTestPeer::pin_parallel(rt->engine());
+    serve::KvConfig kc;
+    kc.key_space = 4096;
+    kc.service_items = 64;
+    kv = std::make_unique<serve::KvStore>(*rt, kc);
+    kv->set_response_handler(
+        [this](std::size_t origin, const serve::KvResponse&) {
+          issue(origin);
+        });
+  }
+
+  void issue(std::size_t origin) {
+    std::uint64_t& budget = budgets[origin];
+    if (budget == 0) return;
+    --budget;
+    std::uint64_t& state = states[origin];
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    const std::uint64_t key = (state >> 33) % kv->config().key_space;
+    const serve::KvOp op =
+        (state >> 20) % 4 == 0 ? serve::KvOp::kSet : serve::KvOp::kGet;
+    // Ids are unique per origin (origin in the low bits).
+    const TaskId id = (ids[origin]++ * kNodes + origin) + 1;
+    kv->issue(origin, op, key, state >> 40, id);
+  }
+
+  /// Serve `per_origin` requests from every origin node; returns the heap
+  /// allocations made meanwhile.
+  std::uint64_t phase(std::uint64_t per_origin) {
+    const std::uint64_t before = g_allocations.load();
+    // The clients start together at the simulated frontier, from events
+    // on their origin shards: no request lands in a drained shard's past.
+    const SimTime start = rt->engine().now();
+    for (std::size_t o = 0; o < kNodes; ++o) {
+      budgets[o] = per_origin;
+      rt->shard(o).schedule_at(start, [this, o] {
+        for (std::size_t c = 0; c < kClients; ++c) issue(o);
+      });
+    }
+    rt->run();
+    for (std::size_t o = 0; o < kNodes; ++o) EXPECT_EQ(budgets[o], 0u);
+    return g_allocations.load() - before;
+  }
+};
+
+void expect_warm_kv_requests_allocation_free(std::size_t threads) {
+  KvLoop loop(threads);
+  constexpr std::uint64_t kPerOrigin = 2500;
+  loop.phase(kPerOrigin);  // warm: slabs, pools, calendars, caches, TLS
+  const std::uint64_t allocs = loop.phase(kPerOrigin);
+  const std::uint64_t requests = kPerOrigin * KvLoop::kNodes;
+  EXPECT_GE(loop.rt->stats().tasks, requests);
+  EXPECT_LT(static_cast<double>(allocs) / static_cast<double>(requests), 0.01)
+      << allocs << " heap allocations over " << requests
+      << " warm KV requests at " << threads << " threads";
+  if (threads > 1) {
+    EXPECT_GT(loop.rt->engine().parallel_rounds(), 0u);
+  }
+}
+
+TEST(SimulatorAllocation, WarmKvRequestIsAllocationFreeAtOneThread) {
+  expect_warm_kv_requests_allocation_free(1);
+}
+
+TEST(SimulatorAllocation, WarmKvRequestIsAllocationFreePinnedParallel) {
+  expect_warm_kv_requests_allocation_free(4);
 }
 
 TEST(SimulatorAllocation, ColdStartAllocatesOnlyStorageGrowth) {
