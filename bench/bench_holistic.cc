@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "hls/dse.h"
 #include "mpi/mpi.h"
@@ -165,13 +166,8 @@ AppOutcome run_app(const AppConfig& app) {
 /// FNV-1a over the observable outcome of a sharded run (task results,
 /// machine energy, engine counters) — the determinism witness.
 struct OutcomeHash {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
+  std::uint64_t h = kFnvSeed;
+  void mix(std::uint64_t v) { h = fnv_mix(h, v); }
   void mix_double(double v) {
     std::uint64_t bits;
     static_assert(sizeof bits == sizeof v);

@@ -32,6 +32,7 @@
 
 #include "bench_util.h"
 #include "common/check.h"
+#include "common/hash.h"
 #include "common/table.h"
 #include "repart/mesh.h"
 #include "repart/repart.h"
@@ -49,14 +50,6 @@ constexpr std::size_t kNodes = 8;
 constexpr std::size_t kWorkersPerNode = 4;
 constexpr std::size_t kBlocks = 64;
 constexpr std::uint64_t kKeySpace = 1ull << 13;
-
-std::uint64_t fnv_word(std::uint64_t h, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (8 * b)) & 0xFF;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 struct KvScenario {
   bool reactive = false;
@@ -160,7 +153,7 @@ KvResult run_kv(const KvScenario& s) {
                         : 0.0;
   out.total_byte_hops = out.cross.byte_hops + out.plan.move_byte_hops;
   out.fingerprint =
-      fnv_word(out.report.fingerprint, out.plan.plan_fingerprint);
+      fnv_mix(out.report.fingerprint, out.plan.plan_fingerprint);
   ECO_CHECK_MSG(out.report.issued == out.report.completed + out.report.shed,
                 "every issued request must complete or shed");
   return out;

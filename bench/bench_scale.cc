@@ -28,6 +28,7 @@
 #include "common/table.h"
 #include "interconnect/network.h"
 #include "interconnect/topology.h"
+#include "network_test_peer.h"
 #include "runtime/machine.h"
 #include "sim/parallel.h"
 
@@ -268,12 +269,12 @@ int main(int argc, char** argv) {
   // --- implicit vs dense routing at 64 endpoints --------------------------
   // The dense table is the old default; at small scale it is a plain array
   // lookup, so it bounds how much the LCA walk may cost.
-  NetworkConfig dense_cfg;
-  dense_cfg.routing = RoutingMode::kDenseTable;
-  Network dense(make_tree({16, 4}), dense_cfg);
-  NetworkConfig imp_cfg;
-  imp_cfg.routing = RoutingMode::kImplicitTree;
-  Network implicit(make_tree({16, 4}), imp_cfg);
+  Network dense = NetworkTestPeer::dense_table(make_tree({16, 4}), {});
+  Network implicit(make_tree({16, 4}), {});
+  if (!implicit.implicit_routing()) {
+    std::cerr << "FATAL: a tree network did not route implicitly\n";
+    return 1;
+  }
   dense.min_cross_latency(0);  // pre-materialize every dense route
   (void)route_ns_per_op(dense, 100000);     // warm both
   (void)route_ns_per_op(implicit, 100000);

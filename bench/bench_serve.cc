@@ -28,6 +28,7 @@
 
 #include "bench_util.h"
 #include "common/check.h"
+#include "common/hash.h"
 #include "common/table.h"
 #include "serve/graph.h"
 #include "serve/kvstore.h"
@@ -124,14 +125,8 @@ KvRunResult run_kv(const KvRunConfig& cfg) {
 }
 
 std::uint64_t fnv_words(const std::uint64_t* words, std::size_t count) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < count; ++i) {
-    std::uint64_t v = words[i];
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xFF;
-      h *= 1099511628211ull;
-    }
-  }
+  std::uint64_t h = kFnvSeed;
+  for (std::size_t i = 0; i < count; ++i) h = fnv_mix(h, words[i]);
   return h;
 }
 

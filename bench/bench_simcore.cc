@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "sim/inline_action.h"
 #include "sim/parallel.h"
@@ -120,13 +121,8 @@ ScheduleStepResult backlog_throughput(std::uint64_t total_events) {
 /// Each shard's actions only ever touch their own shard's slot, and posted
 /// actions run on the destination shard, so the array needs no locks.
 struct ShardHash {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
+  std::uint64_t h = kFnvSeed;
+  void mix(std::uint64_t v) { h = fnv_mix(h, v); }
 };
 
 struct ShardedMeshResult {

@@ -36,7 +36,7 @@ SimDuration sat_add(SimDuration a, SimDuration b) {
 }
 }  // namespace
 
-Network::Network(Topology topology, NetworkConfig config)
+Network::Network(Topology topology, NetworkConfig config, bool tree_routing)
     : topo_(std::move(topology)),
       config_(std::move(config)),
       bus_timeline_("bus") {
@@ -69,15 +69,10 @@ Network::Network(Topology topology, NetworkConfig config)
         packet_type_name(static_cast<PacketType>(t)));
   }
 
-  if (config_.routing != RoutingMode::kDenseTable) {
-    tree_routing_ = try_root_tree();
-  }
-  ECO_CHECK_MSG(
-      config_.routing != RoutingMode::kImplicitTree || tree_routing_,
-      "RoutingMode::kImplicitTree requires a tree topology");
+  tree_routing_ = tree_routing && try_root_tree();
   if (!tree_routing_) {
-    // Legacy dense tables: an 8-byte RouteRef per endpoint pair plus BFS
-    // parent caches. Quadratic — only for non-trees and explicit opt-in.
+    // Dense tables: an 8-byte RouteRef per endpoint pair plus BFS parent
+    // caches. Quadratic — only for non-trees and the test oracle.
     routes_.assign(topo_.endpoint_count() * topo_.endpoint_count(),
                    RouteRef{});
     parent_cache_.resize(topo_.vertex_count());

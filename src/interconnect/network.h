@@ -14,9 +14,8 @@
 // materialized in a dense src·E+dst table. A 100k-endpoint machine then
 // carries ~16 bytes of routing state per vertex instead of an 8-byte
 // RouteRef per endpoint *pair* (80 GB at 100k). Non-tree topologies
-// (dragonfly, mesh) keep the legacy dense table, as does
-// RoutingMode::kDenseTable — the equivalence oracle for tests and an opt-in
-// cache for small machines.
+// (dragonfly, mesh) use the dense table. Tests build a dense-table Network
+// over a tree as the equivalence oracle (tests/network_test_peer.h).
 #pragma once
 
 #include <array>
@@ -24,10 +23,10 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/energy.h"
-#include "common/stats.h"
 #include "common/units.h"
 #include "interconnect/packet.h"
 #include "interconnect/topology.h"
@@ -42,16 +41,6 @@ struct LinkParams {
   double pj_per_packet = 5.0;  // switch/arbiter energy
 };
 
-/// How routes are resolved (see the header comment).
-enum class RoutingMode {
-  /// Implicit LCA routing when the topology is a tree, dense otherwise.
-  kAuto,
-  /// Require implicit routing; constructing over a non-tree is an error.
-  kImplicitTree,
-  /// Legacy dense src·E+dst table with BFS precompute, even for trees.
-  kDenseTable,
-};
-
 struct NetworkConfig {
   /// Per-level link parameters; a level not present falls back to level 0
   /// (which must be present).
@@ -59,8 +48,6 @@ struct NetworkConfig {
 
   /// If true, all links share one serialization timeline (a bus).
   bool shared_medium = false;
-
-  RoutingMode routing = RoutingMode::kAuto;
 };
 
 struct TransferResult {
@@ -71,7 +58,9 @@ struct TransferResult {
 
 class Network {
  public:
-  Network(Topology topology, NetworkConfig config);
+  /// Routes implicitly when `topology` is a tree, by dense table otherwise.
+  Network(Topology topology, NetworkConfig config)
+      : Network(std::move(topology), std::move(config), true) {}
 
   std::size_t endpoint_count() const { return topo_.endpoint_count(); }
 
@@ -190,6 +179,10 @@ class Network {
   const Topology& topology() const { return topo_; }
 
  private:
+  friend class NetworkTestPeer;  // tests/network_test_peer.h
+  /// `tree_routing` false keeps the dense table even for a tree.
+  Network(Topology topology, NetworkConfig config, bool tree_routing);
+
   /// Route between endpoint *indices*. Dense mode resolves through the
   /// dense route table (offsets into one shared LinkId arena), lazily
   /// built; implicit mode materializes the LCA walk into a scratch vector.

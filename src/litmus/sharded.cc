@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "sim/parallel.h"
 #include "sim/perturb.h"
 
@@ -59,13 +60,6 @@ struct AccessMsg {
   std::uint8_t hops = 0;
 };
 
-void fnv_u64(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ull;
-  }
-}
-
 class ShardedLitmusRun {
  public:
   ShardedLitmusRun(const LitmusProgram& program,
@@ -117,7 +111,7 @@ class ShardedLitmusRun {
 
     RandomizedRun result;
     const std::size_t obs_slots = program_.observer_slots();
-    std::uint64_t fp = 0xcbf29ce484222325ull;
+    std::uint64_t fp = kFnvOffsetBasis;
     for (std::size_t p = 0; p < program_.pages; ++p) {
       std::size_t owner = nodes_.size();
       for (std::size_t n = 0; n < nodes_.size(); ++n) {
@@ -131,25 +125,25 @@ class ShardedLitmusRun {
       for (std::size_t v = 0; v < kVarsPerPage; ++v) {
         outcome_[obs_slots + p * kVarsPerPage + v] = page.vars[v];
       }
-      fnv_u64(fp, owner);
-      fnv_u64(fp, page.log.size());
+      fp = fnv_mix(fp, owner);
+      fp = fnv_mix(fp, page.log.size());
       for (const LogEntry& e : page.log) {
-        fnv_u64(fp, (std::uint64_t{e.thread} << 16) |
-                        (std::uint64_t{e.op_index} << 8) | e.kind);
-        fnv_u64(fp, e.value);
+        fp = fnv_mix(fp, (std::uint64_t{e.thread} << 16) |
+                             (std::uint64_t{e.op_index} << 8) | e.kind);
+        fp = fnv_mix(fp, e.value);
       }
     }
-    for (const std::uint64_t v : outcome_) fnv_u64(fp, v);
+    for (const std::uint64_t v : outcome_) fp = fnv_mix(fp, v);
     for (const NodeState& n : nodes_) {
       result.nacks += n.nacks;
       result.failovers += n.failovers;
       result.migrations += n.migrations;
       result.forwards += n.forwards;
     }
-    fnv_u64(fp, result.nacks);
-    fnv_u64(fp, result.failovers);
-    fnv_u64(fp, result.migrations);
-    fnv_u64(fp, result.forwards);
+    fp = fnv_mix(fp, result.nacks);
+    fp = fnv_mix(fp, result.failovers);
+    fp = fnv_mix(fp, result.migrations);
+    fp = fnv_mix(fp, result.forwards);
     result.outcome = outcome_;
     result.fingerprint = fp;
     result.events = sim_.events_processed();
@@ -467,11 +461,11 @@ RandomizedRun run_randomized_once(const LitmusProgram& program,
 RandomizedResult run_randomized(const LitmusProgram& program,
                                 const RandomizedConfig& config) {
   RandomizedResult result;
-  result.fingerprint = 0xcbf29ce484222325ull;
+  result.fingerprint = kFnvOffsetBasis;
   for (std::uint64_t r = 0; r < config.rounds; ++r) {
     RandomizedRun run = run_randomized_once(program, config, r);
     result.outcomes.insert(run.outcome);
-    fnv_u64(result.fingerprint, run.fingerprint);
+    result.fingerprint = fnv_mix(result.fingerprint, run.fingerprint);
     result.events += run.events;
     result.nacks += run.nacks;
     result.failovers += run.failovers;

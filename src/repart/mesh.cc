@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "common/reduce.h"
 #include "common/rng.h"
 #include "interconnect/network.h"
@@ -13,17 +14,6 @@
 namespace ecoscale::repart {
 
 namespace {
-
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-constexpr std::uint64_t kFnvSeed = 1469598103934665603ull;
-
-std::uint64_t fnv_word(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xFF;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 struct MeshTraceNames {
   CounterId settle = CounterRegistry::intern("repart.settle");
@@ -199,13 +189,13 @@ MeshWorkload::Report MeshWorkload::report() const {
         leaf.migrations_in = st.migrations_in;
         leaf.finish = st.finish;
         std::uint64_t h = kFnvSeed;
-        h = fnv_word(h, st.updates);
-        h = fnv_word(h, st.steps);
-        h = fnv_word(h, st.remote_reads);
-        h = fnv_word(h, st.total_reads);
-        h = fnv_word(h, st.halo_in);
-        h = fnv_word(h, st.migrations_in);
-        h = fnv_word(h, st.finish);
+        h = fnv_mix(h, st.updates);
+        h = fnv_mix(h, st.steps);
+        h = fnv_mix(h, st.remote_reads);
+        h = fnv_mix(h, st.total_reads);
+        h = fnv_mix(h, st.halo_in);
+        h = fnv_mix(h, st.migrations_in);
+        h = fnv_mix(h, st.finish);
         leaf.fingerprint = h;
         return leaf;
       },
@@ -218,12 +208,12 @@ MeshWorkload::Report MeshWorkload::report() const {
         a.halo_in += b.halo_in;
         a.migrations_in += b.migrations_in;
         a.finish = std::max(a.finish, b.finish);
-        a.fingerprint = fnv_word(a.fingerprint, b.fingerprint);
+        a.fingerprint = fnv_mix(a.fingerprint, b.fingerprint);
         return a;
       });
   if (repart_ != nullptr) {
     folded.fingerprint =
-        fnv_word(folded.fingerprint, repart_->stats().plan_fingerprint);
+        fnv_mix(folded.fingerprint, repart_->stats().plan_fingerprint);
   }
   if (folded.finish > 0) {
     folded.updates_per_sec =

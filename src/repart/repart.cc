@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "interconnect/network.h"
 #include "obs/trace.h"
 #include "runtime/scheduler.h"
@@ -11,16 +12,6 @@
 namespace ecoscale::repart {
 
 namespace {
-
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv_word(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xFF;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 struct RepartTraceNames {
   CounterId epoch = CounterRegistry::intern("repart.epoch");
@@ -302,10 +293,10 @@ void Repartitioner::execute(const std::vector<Move>& plan, SimTime at) {
     stats_.moved_bytes += bytes;
     stats_.move_byte_hops += bytes * hops;
     std::uint64_t& h = stats_.plan_fingerprint;
-    h = fnv_word(h, m.epoch);
-    h = fnv_word(h, m.item);
-    h = fnv_word(h, m.from);
-    h = fnv_word(h, m.to);
+    h = fnv_mix(h, m.epoch);
+    h = fnv_mix(h, m.item);
+    h = fnv_mix(h, m.from);
+    h = fnv_mix(h, m.to);
     ECO_TRACE_INSTANT(obs::Cat::kRepart, repart_names().migrate,
                       (obs::Lane{obs::kSimPid, kRepartTid}), at, m.item);
     moves_.push_back(m);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "common/reduce.h"
 #include "obs/trace.h"
 
@@ -23,17 +24,6 @@ struct LoadTraceNames {
 [[maybe_unused]] const LoadTraceNames& load_trace_names() {
   static const LoadTraceNames names;
   return names;
-}
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv_word(std::uint64_t h, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (8 * b)) & 0xFF;
-    h *= kFnvPrime;
-  }
-  return h;
 }
 
 }  // namespace
@@ -173,7 +163,7 @@ LoadGen::Report LoadGen::report() const {
     std::uint64_t issued = 0, completed = 0, shed = 0;
     LatencyHistogram latency;
     SimTime last_completion = 0;
-    std::uint64_t hash = kFnvOffset;
+    std::uint64_t hash = kFnvSeed;
   };
   Leaf folded = reduce_tree<Leaf>(
       origins_.size(), Leaf{},
@@ -185,12 +175,12 @@ LoadGen::Report LoadGen::report() const {
         leaf.shed = o.shed;
         leaf.latency = o.latency;
         leaf.last_completion = o.last_completion;
-        std::uint64_t h = kFnvOffset;
-        h = fnv_word(h, o.latency.fingerprint());
-        h = fnv_word(h, o.issued);
-        h = fnv_word(h, o.completed);
-        h = fnv_word(h, o.shed);
-        h = fnv_word(h, static_cast<std::uint64_t>(o.last_completion));
+        std::uint64_t h = kFnvSeed;
+        h = fnv_mix(h, o.latency.fingerprint());
+        h = fnv_mix(h, o.issued);
+        h = fnv_mix(h, o.completed);
+        h = fnv_mix(h, o.shed);
+        h = fnv_mix(h, static_cast<std::uint64_t>(o.last_completion));
         leaf.hash = h;
         return leaf;
       },
@@ -200,7 +190,7 @@ LoadGen::Report LoadGen::report() const {
         a.shed += b.shed;
         a.latency.merge(b.latency);
         a.last_completion = std::max(a.last_completion, b.last_completion);
-        a.hash = fnv_word(a.hash, b.hash);
+        a.hash = fnv_mix(a.hash, b.hash);
         return a;
       });
   Report report;
@@ -209,7 +199,7 @@ LoadGen::Report LoadGen::report() const {
   report.shed = folded.shed;
   report.latency = folded.latency;
   report.last_completion = folded.last_completion;
-  report.fingerprint = fnv_word(folded.hash, kv_.apply_log_hash());
+  report.fingerprint = fnv_mix(folded.hash, kv_.apply_log_hash());
   return report;
 }
 

@@ -171,7 +171,8 @@ inline void fold_top2(SimTime cand, std::uint32_t arg, SimTime& best1,
 
 }  // namespace
 
-ShardedSimulator::ShardedSimulator(ShardedConfig config)
+ShardedSimulator::ShardedSimulator(ShardedConfig config,
+                                   std::size_t matrix_cap)
     : config_(std::move(config)) {
   ECO_CHECK_MSG(config_.shards >= 1, "need at least one shard");
   ECO_CHECK_MSG(config_.lookahead >= 1,
@@ -209,7 +210,7 @@ ShardedSimulator::ShardedSimulator(ShardedConfig config)
   source_floor_.assign(nshards, config_.lookahead);
   dest_floor_.assign(nshards, config_.lookahead);
   if (config_.pair_lookahead && nshards > 1) {
-    if (nshards <= config_.dense_pair_cap) {
+    if (nshards <= matrix_cap) {
       pair_matrix_.assign(nshards * nshards, 0);
       for (std::size_t s = 0; s < nshards; ++s) {
         SimDuration floor = kNever;
@@ -622,9 +623,21 @@ void ShardedSimulator::exchange(std::size_t tid, bool solo,
     }
   }
   std::sort(me.inbox.begin(), me.inbox.end(), MergeKeyLess{});
-  for (const InboxItem& it : me.inbox) {
-    shards_[it.dst]->sim.schedule_at(
-        it.time, std::move(slots_[it.box]->outbox[it.pos].action));
+  std::size_t i = 0;
+  try {
+    for (; i < me.inbox.size(); ++i) {
+      const InboxItem& it = me.inbox[i];
+      shards_[it.dst]->sim.schedule_at(
+          it.time, std::move(slots_[it.box]->outbox[it.pos].action));
+    }
+  } catch (...) {
+    // A message into its destination's past (a post across a run() seam
+    // whose shard clocks drifted apart). Fail the round as a throwing
+    // window does, so every thread leaves it through the next plan and
+    // run() rethrows.
+    Shard& dst = *shards_[me.inbox[i].dst];
+    if (!dst.error) dst.error = std::current_exception();
+    tally.failed = true;
   }
   if (me.outbox.size() > kOutboxReserve) {
     me.spills += me.outbox.size() - kOutboxReserve;

@@ -166,17 +166,11 @@ struct ShardedConfig {
   std::function<SimDuration(std::size_t from, std::size_t to)> pair_lookahead;
   /// Optional per-source floor min over d != s of L(s, d) (e.g.
   /// Network::min_latency_from). Only consulted when `pair_lookahead` is
-  /// set but the shard count exceeds `dense_pair_cap`; below the cap the
-  /// floor is derived from the dense matrix. Construction sample-verifies
-  /// floor(s) <= L(s, d) against the pair oracle — a floor that exceeds a
-  /// real pair latency would silently over-advance shards.
+  /// set but the shard count exceeds ShardedSimulator::kDensePairCap; below
+  /// the cap the floor is derived from the dense matrix. Construction
+  /// sample-verifies floor(s) <= L(s, d) against the pair oracle — a floor
+  /// that exceeds a real pair latency would silently over-advance shards.
   std::function<SimDuration(std::size_t from)> source_floor;
-  /// Shard count up to which the pair oracle is materialized as a dense
-  /// matrix (O(shards^2) construction + memory; horizons then take exact
-  /// per-destination column minima). Above it the engine falls back to
-  /// per-source floors — still adaptive, O(shards) state — so a
-  /// 6k-shard machine never pays a 36M-entry matrix.
-  std::size_t dense_pair_cap = 512;
 };
 
 class ShardedSimulator {
@@ -192,8 +186,15 @@ class ShardedSimulator {
   static constexpr std::uint64_t kParallelSlack = 32;
   /// Longest stretch, in rounds.
   static constexpr std::size_t kMaxStretch = 64;
+  /// Shard count up to which the pair oracle is materialized as a dense
+  /// matrix (O(shards^2) construction + memory; horizons then take exact
+  /// per-destination column minima). Above it the engine falls back to
+  /// per-source floors — still adaptive, O(shards) state — so a 6k-shard
+  /// machine never pays a 36M-entry matrix.
+  static constexpr std::size_t kDensePairCap = 512;
 
-  explicit ShardedSimulator(ShardedConfig config);
+  explicit ShardedSimulator(ShardedConfig config)
+      : ShardedSimulator(std::move(config), kDensePairCap) {}
   /// Joins the worker pool (pool threads hold `this`: no copy or move).
   ~ShardedSimulator();
   ShardedSimulator(const ShardedSimulator&) = delete;
@@ -286,6 +287,10 @@ class ShardedSimulator {
  private:
   friend class ShardedSimulatorTestPeer;  // tests/sharded_test_peer.h
   static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+
+  /// Materializes the dense pair matrix up to `matrix_cap` shards
+  /// (kDensePairCap, or lower in tests).
+  ShardedSimulator(ShardedConfig config, std::size_t matrix_cap);
 
   struct Shard {
     Simulator sim;
@@ -406,7 +411,7 @@ class ShardedSimulator {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<WorkerSlot>> slots_;
 
-  // Per-pair latency state: dense matrix (shards <= dense_pair_cap with an
+  // Per-pair latency state: dense matrix (shards <= kDensePairCap with an
   // oracle), the per-source floors used by the collapsed horizon, and the
   // per-destination floors min over b != d of L(b, d) — the echo-cap
   // distance (dense: exact column minima; collapsed: bounded below by the

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "common/check.h"
 #include "common/energy.h"
+#include "common/hash.h"
 #include "common/latency.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -108,10 +111,17 @@ TEST(Rng, ExponentialMean) {
 
 TEST(Rng, NormalMoments) {
   Rng rng(17);
-  RunningStat stat;
-  for (int i = 0; i < 20000; ++i) stat.add(rng.normal(2.0, 3.0));
-  EXPECT_NEAR(stat.mean(), 2.0, 0.1);
-  EXPECT_NEAR(stat.stddev(), 3.0, 0.1);
+  const int n = 20000;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double x = rng.normal(2.0, 3.0);
+    sum += x;
+    sum_sq += x * x;
+  }
+  const double mean = sum / n;
+  EXPECT_NEAR(mean, 2.0, 0.1);
+  EXPECT_NEAR(std::sqrt(sum_sq / n - mean * mean), 3.0, 0.1);
 }
 
 TEST(Rng, ZipfSkewsTowardLowRanks) {
@@ -370,30 +380,14 @@ TEST(LatencyHistogram, PercentileLowTailClampsToMin) {
   }
 }
 
-TEST(RunningStat, BasicMoments) {
-  RunningStat s;
-  for (const double x : {1.0, 2.0, 3.0, 4.0}) s.add(x);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_NEAR(s.variance(), 5.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 10.0);
-}
-
-TEST(RunningStat, MergeMatchesSequential) {
-  RunningStat a;
-  RunningStat b;
-  RunningStat all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 0.37 - 3;
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
+// The fingerprint gates every latency determinism check and stands behind
+// committed bench baselines: its recipe (buckets, count, sum, min, max,
+// FNV-1a from the simulation seed) must not drift.
+TEST(LatencyHistogram, FingerprintIsPinned) {
+  LatencyHistogram h;
+  EXPECT_EQ(h.fingerprint(), 0x6ff6280e03885503ull);
+  for (std::uint64_t v = 1; v <= 1000000; v = v * 3 + 1) h.record(v);
+  EXPECT_EQ(h.fingerprint(), 0xf7e4b64ad2f1c9c7ull);
 }
 
 TEST(Samples, ExactPercentiles) {
@@ -418,60 +412,37 @@ TEST(Samples, EmptyPercentileThrows) {
   EXPECT_THROW(s.percentile(50), CheckError);
 }
 
-TEST(QuantileEstimator, ExactForSmallSamples) {
-  QuantileEstimator median(0.5);
-  median.add(3);
-  EXPECT_DOUBLE_EQ(median.value(), 3.0);
-  median.add(1);
-  EXPECT_DOUBLE_EQ(median.value(), 2.0);
-  median.add(5);
-  EXPECT_DOUBLE_EQ(median.value(), 3.0);
-}
-
-TEST(QuantileEstimator, ConvergesOnUniform) {
-  QuantileEstimator q10(0.1);
-  QuantileEstimator q50(0.5);
-  QuantileEstimator q90(0.9);
-  Rng rng(33);
-  for (int i = 0; i < 50000; ++i) {
-    const double x = rng.uniform(0.0, 100.0);
-    q10.add(x);
-    q50.add(x);
-    q90.add(x);
+// FNV-1a 64, byte by byte: the published recipe fnv_mix must reproduce.
+std::uint64_t fnv1a_bytes(std::string_view bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
   }
-  EXPECT_NEAR(q10.value(), 10.0, 1.5);
-  EXPECT_NEAR(q50.value(), 50.0, 1.5);
-  EXPECT_NEAR(q90.value(), 90.0, 1.5);
+  return h;
 }
 
-TEST(QuantileEstimator, MedianResistsOutliers) {
-  QuantileEstimator median(0.5);
-  RunningStat mean;
-  Rng rng(37);
-  for (int i = 0; i < 20000; ++i) {
-    double x = rng.normal(100.0, 5.0);
-    if (rng.chance(0.05)) x *= 50.0;  // gross contamination
-    median.add(x);
-    mean.add(x);
+std::uint64_t le_word(std::string_view eight) {
+  std::uint64_t w = 0;
+  for (int b = 7; b >= 0; --b) {
+    w = (w << 8) | static_cast<unsigned char>(eight[b]);
   }
-  EXPECT_NEAR(median.value(), 100.0, 3.0);
-  EXPECT_GT(mean.mean(), 200.0);  // the mean is dragged far away
+  return w;
 }
 
-TEST(QuantileEstimator, RejectsDegenerateQuantile) {
-  EXPECT_THROW(QuantileEstimator(0.0), CheckError);
-  EXPECT_THROW(QuantileEstimator(1.0), CheckError);
+TEST(FnvHash, WordMixIsFnv1aOverLittleEndianBytes) {
+  ASSERT_EQ(fnv1a_bytes("foobar"), 0x85944171f73967e8ull);  // published
+  EXPECT_EQ(fnv_mix(kFnvOffsetBasis, le_word("abcdefgh")),
+            0x25da8c1836a8d66dull);
+  EXPECT_EQ(fnv_mix(fnv_mix(kFnvOffsetBasis, le_word("abcdefgh")),
+                    le_word("ijklmnop")),
+            fnv1a_bytes("abcdefghijklmnop"));
 }
 
-TEST(CounterSet, AccumulatesByName) {
-  CounterSet c;
-  c.add("x");
-  c.add("x", 4);
-  c.add("y", 2);
-  EXPECT_EQ(c.get("x"), 5u);
-  EXPECT_EQ(c.get("y"), 2u);
-  EXPECT_EQ(c.get("z"), 0u);
-  EXPECT_EQ(c.all().size(), 2u);
+TEST(FnvHash, FingerprintSeedIsPinned) {
+  // Every committed hash baseline starts from this seed.
+  EXPECT_EQ(kFnvSeed, 1469598103934665603ull);
+  EXPECT_EQ(fnv_mix(kFnvSeed, 0x0123456789abcdefull), 0xe1b1f298cfb61863ull);
 }
 
 TEST(EnergyMeter, ChargesAndBreakdown) {

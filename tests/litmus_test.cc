@@ -4,7 +4,10 @@
 // its --sim-threads byte-identity contract.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <set>
+#include <string>
 
 #include "common/check.h"
 #include "litmus/executor.h"
@@ -290,6 +293,28 @@ TEST(LitmusSharded, ExecutorsAgreeWithEachOther) {
       EXPECT_TRUE(exh.outcomes.count(o))
           << name << ": randomized-only outcome " << format_outcome(p, o);
     }
+  }
+}
+
+// Each suite program's randomized fingerprint at the quick configuration
+// is pinned: the litmus determinism gates compare runs against each other,
+// so only this catches a change to the fingerprint recipe itself.
+TEST(LitmusSharded, FingerprintsArePinned) {
+  const std::map<std::string, std::uint64_t> pinned = {
+      {"atomic_inc", 0x44e1c4810e344f06ull},
+      {"failover_lost_update", 0xe609268cae96ea3aull},
+      {"migration_inflight", 0x827b70ff5e2373faull},
+      {"mp_same_page", 0x4ae28c24fec6c585ull},
+      {"mp_two_pages", 0x859dc3cef88a5e55ull},
+      {"sb_same_page", 0x80a59f6f33d4bf45ull},
+      {"sb_two_pages", 0xbb77cd8c47ce76e5ull},
+  };
+  ASSERT_EQ(standard_suite().size(), pinned.size());
+  for (const LitmusProgram& p : standard_suite()) {
+    ASSERT_EQ(pinned.count(p.name), 1u) << p.name;
+    EXPECT_EQ(run_randomized(p, quick_config(1)).fingerprint,
+              pinned.at(p.name))
+        << p.name;
   }
 }
 

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "hls/dse.h"
@@ -42,13 +43,8 @@ namespace {
 // FNV-1a over a stream of u64 words (the same recipe the kernel
 // determinism lock in sim_test.cc uses).
 struct TraceHasher {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
+  std::uint64_t h = kFnvSeed;
+  void mix(std::uint64_t v) { h = fnv_mix(h, v); }
   void mix_double(double d) {
     std::uint64_t bits;
     std::memcpy(&bits, &d, sizeof bits);
@@ -120,6 +116,54 @@ TEST(ShardedSimulator, LowestShardIdExceptionWinsAcrossThreads) {
     EXPECT_STREQ(e.what(), "shard 1 exploded");
   }
   EXPECT_GT(engine.parallel_rounds(), 0u);
+}
+
+// A post that lands in its destination's past (possible across a run()
+// seam, where shard clocks have drifted apart) fails in the exchange, not
+// in a window. It must end the run like a throwing action: run() rethrows
+// at one thread and at four, whichever thread owns the destination, and no
+// thread is left waiting at the gate.
+TEST(ShardedSimulator, PostIntoTheDestinationsPastFailsTheRun) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (const std::size_t dst : {std::size_t{0}, std::size_t{3}}) {
+      ShardedConfig sc;
+      sc.shards = 4;
+      sc.lookahead = 10;
+      sc.threads = threads;
+      ShardedSimulator engine(sc);
+      ShardedSimulatorTestPeer::pin_parallel(engine);
+      engine.shard(dst).schedule_at(10000, [] {});
+      engine.shard(1).schedule_at(10, [] {});
+      engine.run();  // shard dst's clock ends far ahead of shard 1's
+      engine.shard(1).schedule_at(20, [&engine, dst] {
+        engine.post(1, dst, engine.shard(1).now() + 10, [] {});
+      });
+      EXPECT_THROW(engine.run(), CheckError)
+          << threads << " threads, destination " << dst;
+      if (threads > 1) {
+        EXPECT_GT(engine.parallel_rounds(), 0u);
+      }
+    }
+  }
+}
+
+// The same failure in a solo stretch: left to its stretch policy, a
+// four-thread engine runs this sparse workload on the calling thread, and
+// the exchange there must fail the run the same way.
+TEST(ShardedSimulator, PostIntoTheDestinationsPastFailsASoloStretch) {
+  ShardedConfig sc;
+  sc.shards = 4;
+  sc.lookahead = 10;
+  sc.threads = 4;
+  ShardedSimulator engine(sc);
+  engine.shard(3).schedule_at(10000, [] {});
+  engine.shard(1).schedule_at(10, [] {});
+  engine.run();
+  engine.shard(1).schedule_at(20, [&engine] {
+    engine.post(1, 3, engine.shard(1).now() + 10, [] {});
+  });
+  EXPECT_THROW(engine.run(), CheckError);
+  EXPECT_EQ(engine.parallel_rounds(), 0u);
 }
 
 // --- canonical merge order --------------------------------------------------
@@ -446,21 +490,83 @@ TEST(ShardedSimulator, OffStrideTriangleViolationIsCaughtBySampling) {
 }
 
 TEST(ShardedSimulator, OverstatedSourceFloorIsRejected) {
-  // Above dense_pair_cap the horizons trust the per-source floors, so a
-  // floor that exceeds a real pair latency must fail at construction
-  // instead of silently over-advancing shards.
+  // Above the dense pair cap the horizons trust the per-source floors, so
+  // a floor that exceeds a real pair latency must fail at construction
+  // instead of silently over-advancing shards. Below it (8 shards through
+  // the public constructor) the floors come from the dense matrix and
+  // source_floor is never read.
   ShardedConfig sc;
   sc.shards = 8;
   sc.lookahead = 10;
-  sc.dense_pair_cap = 4;
   sc.pair_lookahead = [](std::size_t, std::size_t) -> SimDuration {
     return 100;
   };
   sc.source_floor = [](std::size_t) -> SimDuration { return 150; };
-  EXPECT_THROW(ShardedSimulator{sc}, CheckError);
+  static_assert(ShardedSimulator::kDensePairCap >= 8);
+  const ShardedSimulator dense(sc);
+  EXPECT_TRUE(ShardedSimulatorTestPeer::has_pair_matrix(dense));
+  EXPECT_THROW(ShardedSimulatorTestPeer::with_dense_pair_cap(sc, 4),
+               CheckError);
   // An honest floor (== the uniform pair latency) constructs fine.
   sc.source_floor = [](std::size_t) -> SimDuration { return 100; };
-  EXPECT_NO_THROW(ShardedSimulator{sc});
+  const ShardedSimulator collapsed =
+      ShardedSimulatorTestPeer::with_dense_pair_cap(sc, 4);
+  EXPECT_FALSE(ShardedSimulatorTestPeer::has_pair_matrix(collapsed));
+}
+
+// kDensePairCap keeps the boundary the config default used to set: the
+// pair oracle is materialized as a dense matrix up to 512 shards and
+// collapses to per-source floors from 513.
+TEST(ShardedSimulator, PairMatrixStaysDenseUpTo512Shards) {
+  static_assert(ShardedSimulator::kDensePairCap == 512);
+  ShardedConfig sc;
+  sc.lookahead = 10;
+  sc.pair_lookahead = [](std::size_t, std::size_t) -> SimDuration {
+    return 100;
+  };
+  sc.shards = 512;
+  EXPECT_TRUE(
+      ShardedSimulatorTestPeer::has_pair_matrix(ShardedSimulator(sc)));
+  sc.shards = 513;
+  EXPECT_FALSE(
+      ShardedSimulatorTestPeer::has_pair_matrix(ShardedSimulator(sc)));
+}
+
+// The collapsed per-source-floor horizons are a conservative stand-in for
+// the dense matrix, so the same workload must execute identically on
+// either path, at one thread and at four. Window counts may differ (the
+// horizons do); the per-shard traces and counters may not.
+TEST(ShardedSimulator, CollapsedFloorsRunTheDenseMatrixWorkloadIdentically) {
+  const auto run = [](std::size_t dense_pair_cap, std::size_t threads) {
+    ShardedConfig sc;
+    sc.shards = 8;
+    sc.lookahead = 200;
+    sc.threads = threads;
+    sc.pair_lookahead = [](std::size_t, std::size_t) -> SimDuration {
+      return 200;
+    };
+    sc.source_floor = [](std::size_t) -> SimDuration { return 200; };
+    ShardedSimulator engine =
+        ShardedSimulatorTestPeer::with_dense_pair_cap(sc, dense_pair_cap);
+    EXPECT_EQ(ShardedSimulatorTestPeer::has_pair_matrix(engine),
+              dense_pair_cap >= sc.shards);
+    ShardedSimulatorTestPeer::pin_parallel(engine);
+    std::vector<TraceHasher> hashes(sc.shards);
+    const auto actors = seed_mesh(engine, hashes, 300);
+    engine.run();
+    if (threads > 1) {
+      EXPECT_GT(engine.parallel_rounds(), 0u);
+    }
+    TraceHasher combined;
+    for (const TraceHasher& h : hashes) combined.mix(h.h);
+    combined.mix(engine.events_processed());
+    combined.mix(engine.messages());
+    return combined.h;
+  };
+  const std::uint64_t dense = run(ShardedSimulator::kDensePairCap, 1);
+  EXPECT_EQ(run(2, 1), dense);
+  EXPECT_EQ(run(2, 4), dense);
+  EXPECT_EQ(run(ShardedSimulator::kDensePairCap, 4), dense);
 }
 
 // --- self-chain echo: ping-pong back to the global-min shard ----------------
@@ -472,15 +578,17 @@ TEST(ShardedSimulator, OverstatedSourceFloorIsRejected) {
 // which pongs straight back at the pair bound. Without the post-time echo
 // cap shard 0 runs its local work past the pong's delivery time in round
 // 1 and the merge two rounds later schedules an event in its past.
-void ping_pong_echo_run(const std::function<void(ShardedConfig&)>& tweak,
-                        SimDuration hop) {
+void ping_pong_echo_run(
+    const std::function<void(ShardedConfig&)>& tweak, SimDuration hop,
+    std::size_t dense_pair_cap = ShardedSimulator::kDensePairCap) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
     ShardedConfig sc;
     sc.shards = 3;
     sc.lookahead = 100;
     sc.threads = threads;
     tweak(sc);
-    ShardedSimulator engine(sc);
+    ShardedSimulator engine =
+        ShardedSimulatorTestPeer::with_dense_pair_cap(sc, dense_pair_cap);
     ShardedSimulatorTestPeer::pin_parallel(engine);
     for (SimTime t = 10; t <= 5000; t += 10) {
       engine.shard(0).schedule_at(t, [] {});
@@ -523,13 +631,12 @@ TEST(ShardedSimulator, EchoToGlobalMinShardCollapsedFloors) {
   ping_pong_echo_run(
       [](ShardedConfig& sc) {
         sc.lookahead = 10;
-        sc.dense_pair_cap = 2;  // force the collapsed per-source-floor path
         sc.pair_lookahead = [](std::size_t, std::size_t) -> SimDuration {
           return 100;
         };
         sc.source_floor = [](std::size_t) -> SimDuration { return 100; };
       },
-      100);
+      100, /*dense_pair_cap=*/2);  // the collapsed per-source-floor path
 }
 
 // --- imbalanced topology: one hot shard, many cold burst shards -------------

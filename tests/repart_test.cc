@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/units.h"
 #include "repart/diffusion.h"
 #include "repart/mesh.h"
@@ -357,13 +358,7 @@ MigrationRun run_migration_under_load(std::size_t threads) {
 
   MigrationRun out;
   const serve::LoadGen::Report report = gen.report();
-  std::uint64_t h = report.fingerprint;
-  const std::uint64_t plan = rp.stats().plan_fingerprint;
-  for (int b = 0; b < 8; ++b) {
-    h ^= (plan >> (8 * b)) & 0xFF;
-    h *= 1099511628211ull;
-  }
-  out.fingerprint = h;
+  out.fingerprint = fnv_mix(report.fingerprint, rp.stats().plan_fingerprint);
   out.moves = rp.stats().moves;
   out.forwards = kv.cross_stats().forwards;
   out.parallel_rounds = rt.engine().parallel_rounds();
@@ -473,6 +468,61 @@ TEST(MeshWorkload, StaticRunIsDeterministicAcrossThreads) {
   EXPECT_EQ(a.fingerprint, b.fingerprint);
   EXPECT_GT(a.updates, 0u);
   EXPECT_GT(a.total_reads, 0u);
+}
+
+// The plan fingerprint, the mesh fingerprint (with and without a
+// repartitioner folded in) and the migration run's combined fingerprint
+// back the committed bench_repart baselines; their values for fixed
+// scenarios are pinned so a change to any recipe shows up here.
+TEST(MigrationUnderLoad, FingerprintIsPinned) {
+  const MigrationRun run = run_migration_under_load(1);
+  EXPECT_EQ(run.fingerprint, 0x9724c2bfe736e0ccull);
+}
+
+repart::MeshWorkload::Report run_small_mesh(bool reactive,
+                                            std::uint64_t* plan) {
+  ShardedRuntimeConfig rc;
+  rc.nodes = 4;
+  rc.workers_per_node = 1;
+  rc.internode_radices = {2, 2};
+  ShardedRuntime rt(rc);
+  repart::MeshConfig mc;
+  mc.cells = 256;
+  mc.chords = 64;
+  mc.front_width = 0.10;
+  mc.front_period = microseconds(100);
+  mc.duration = microseconds(100);
+  std::unique_ptr<Repartitioner> rp;
+  if (reactive) {
+    RepartConfig cfg;
+    cfg.epoch = microseconds(10);
+    cfg.max_moves = 16;
+    cfg.cooldown = 2;
+    cfg.min_gain = 8;
+    rp = std::make_unique<Repartitioner>(
+        rt, cfg, mc.cells,
+        repart::MeshWorkload::contiguous_owners(mc.cells, rc.nodes));
+  }
+  repart::MeshWorkload mesh(rt, rp.get(), mc);
+  if (rp != nullptr) rp->install();
+  mesh.start();
+  rt.run();
+  if (plan != nullptr && rp != nullptr) *plan = rp->stats().plan_fingerprint;
+  return mesh.report();
+}
+
+TEST(MeshWorkload, StaticFingerprintIsPinned) {
+  const repart::MeshWorkload::Report report = run_small_mesh(false, nullptr);
+  EXPECT_GT(report.updates, 0u);
+  EXPECT_EQ(report.fingerprint, 0xaa744afd79abd694ull);
+}
+
+TEST(MeshWorkload, ReactiveFingerprintIsPinned) {
+  std::uint64_t plan = 0;
+  const repart::MeshWorkload::Report report = run_small_mesh(true, &plan);
+  EXPECT_GT(report.migrations_in, 0u);
+  EXPECT_EQ(plan, 0x9843d71ad4efe784ull);
+  EXPECT_EQ(report.fingerprint, 0x6a8639375a7b8242ull);
 }
 
 }  // namespace

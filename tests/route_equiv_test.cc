@@ -1,23 +1,23 @@
 // Implicit (LCA) routing must be observationally identical to the legacy
 // dense route table — latency, hops, energy, per-level byte accounting,
 // lookahead and diameter — across randomized hierarchical topologies.
-// The dense table (RoutingMode::kDenseTable) is kept precisely to serve as
-// the equivalence oracle here.
+// The dense table (built over a tree through NetworkTestPeer) is the
+// equivalence oracle here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
 #include <vector>
 
-#include "common/check.h"
 #include "interconnect/network.h"
 #include "interconnect/packet.h"
 #include "interconnect/topology.h"
+#include "network_test_peer.h"
 
 namespace ecoscale {
 namespace {
 
-NetworkConfig leveled_config(RoutingMode mode) {
+NetworkConfig leveled_config() {
   NetworkConfig cfg;
   LinkParams l0;
   l0.hop_latency = nanoseconds(20);
@@ -32,7 +32,6 @@ NetworkConfig leveled_config(RoutingMode mode) {
   l2.bandwidth = Bandwidth::from_gib_per_s(5.0);
   l2.pj_per_byte = 20.0;
   cfg.level_params = {{0, l0}, {1, l1}, {2, l2}};
-  cfg.routing = mode;
   return cfg;
 }
 
@@ -49,9 +48,9 @@ TEST(RouteEquivalence, RandomizedTreesMatchDenseTableExactly) {
     } else {
       radices.push_back(1 + rng() % 8);  // nodes
     }
-    Network implicit(make_tree(radices), leveled_config(RoutingMode::kAuto));
-    Network dense(make_tree(radices),
-                  leveled_config(RoutingMode::kDenseTable));
+    Network implicit(make_tree(radices), leveled_config());
+    Network dense =
+        NetworkTestPeer::dense_table(make_tree(radices), leveled_config());
     ASSERT_TRUE(implicit.implicit_routing()) << "seed " << seed;
     ASSERT_FALSE(dense.implicit_routing()) << "seed " << seed;
     const std::size_t eps = implicit.endpoint_count();
@@ -110,9 +109,9 @@ TEST(RouteEquivalence, RandomizedTreesMatchDenseTableExactly) {
 }
 
 TEST(RouteEquivalence, ImplicitStateIsLinearDenseIsQuadratic) {
-  Network implicit(make_tree({16, 64}), leveled_config(RoutingMode::kAuto));
-  Network dense(make_tree({16, 64}),
-                leveled_config(RoutingMode::kDenseTable));
+  Network implicit(make_tree({16, 64}), leveled_config());
+  Network dense =
+      NetworkTestPeer::dense_table(make_tree({16, 64}), leveled_config());
   ASSERT_TRUE(implicit.implicit_routing());
   // 1024 endpoints, 1089 vertices: implicit carries 16 B/vertex; the dense
   // table starts at 8 B per endpoint *pair*.
@@ -121,20 +120,53 @@ TEST(RouteEquivalence, ImplicitStateIsLinearDenseIsQuadratic) {
 }
 
 TEST(RouteEquivalence, NonTreeTopologiesFallBackToDenseRouting) {
-  Network mesh(make_mesh2d(4, 4), leveled_config(RoutingMode::kAuto));
+  Network mesh(make_mesh2d(4, 4), leveled_config());
   EXPECT_FALSE(mesh.implicit_routing());
   // Still routable and sane.
   EXPECT_GT(mesh.hop_count(0, 15), 0);
   EXPECT_GT(mesh.diameter(), 0);
-  Network fly(make_dragonfly(3, 2, 2), leveled_config(RoutingMode::kAuto));
+  Network fly(make_dragonfly(3, 2, 2), leveled_config());
   EXPECT_FALSE(fly.implicit_routing());
   EXPECT_GT(fly.diameter(), 0);
 }
 
-TEST(RouteEquivalence, ImplicitTreeModeRejectsNonTrees) {
-  EXPECT_THROW(Network(make_mesh2d(3, 3),
-                       leveled_config(RoutingMode::kImplicitTree)),
-               CheckError);
+TEST(RouteEquivalence, PeerDenseTableOverNonTreeMatchesDefault) {
+  // Over a non-tree the peer's network is the one the public constructor
+  // builds: the same dense table, routes, lookahead and accounting.
+  for (const bool mesh : {true, false}) {
+    const auto topo = [mesh] {
+      return mesh ? make_mesh2d(4, 4) : make_dragonfly(3, 2, 2);
+    };
+    Network normal(topo(), leveled_config());
+    Network peer = NetworkTestPeer::dense_table(topo(), leveled_config());
+    ASSERT_FALSE(peer.implicit_routing());
+    const std::size_t eps = normal.endpoint_count();
+    ASSERT_EQ(eps, peer.endpoint_count());
+    for (std::size_t s = 0; s < eps; ++s) {
+      for (std::size_t d = 0; d < eps; ++d) {
+        ASSERT_EQ(normal.hop_count(s, d), peer.hop_count(s, d));
+        ASSERT_EQ(normal.route_latency(s, d), peer.route_latency(s, d));
+      }
+      ASSERT_EQ(normal.min_latency_from(s, 1), peer.min_latency_from(s, 1));
+    }
+    EXPECT_EQ(normal.min_cross_latency(1), peer.min_cross_latency(1));
+    EXPECT_EQ(normal.diameter(), peer.diameter());
+    EXPECT_EQ(normal.route_state_bytes(), peer.route_state_bytes());
+    SimTime at = 0;
+    for (std::size_t s = 0; s < eps; ++s) {
+      const std::size_t d = (s * 7 + 3) % eps;
+      const Packet pkt{PacketType::kWrite, {}, {}, 256 + 64 * s};
+      const TransferResult a = normal.send(s, d, pkt, at);
+      const TransferResult b = peer.send(s, d, pkt, at);
+      ASSERT_EQ(a.arrival, b.arrival);
+      ASSERT_EQ(a.hops, b.hops);
+      ASSERT_DOUBLE_EQ(a.energy, b.energy);
+      at += nanoseconds(10);
+    }
+    EXPECT_EQ(normal.byte_hops(), peer.byte_hops());
+    EXPECT_EQ(normal.bytes_per_level(), peer.bytes_per_level());
+    EXPECT_DOUBLE_EQ(normal.energy().total(), peer.energy().total());
+  }
 }
 
 }  // namespace

@@ -262,6 +262,32 @@ TEST(Determinism, ByteIdenticalAcrossSimThreads) {
   }
 }
 
+// The KV apply-log hash and the load generator's report fingerprint feed
+// the committed serve baselines; their values for a fixed workload are
+// pinned so a change to either recipe shows up here, not as a bench diff.
+TEST(KvStore, ApplyLogHashIsPinned) {
+  const std::size_t nodes = 4;
+  ShardedRuntime rt(serve_config(nodes, 2));
+  KvStore kv(rt, small_kv());
+  EXPECT_EQ(kv.apply_log_hash(), 0x7c2e77042d126361ull);  // empty logs
+  Rng rng(0x5E12);
+  for (std::size_t i = 0; i < 240; ++i) {
+    const std::uint64_t key = rng.uniform_u64(32);
+    const double r = rng.uniform();
+    const KvOp op =
+        r < 0.4 ? KvOp::kGet : (r < 0.8 ? KvOp::kSet : KvOp::kDelete);
+    kv.issue(i % nodes, op, key, /*value=*/1000 + i, /*request=*/1 + i);
+  }
+  rt.run();
+  EXPECT_EQ(kv.apply_log_hash(), 0xb577a58dba57fddeull);
+}
+
+TEST(Determinism, LoadGenFingerprintIsPinned) {
+  const LoadGen::Report report = run_loadgen(1);
+  EXPECT_EQ(report.fingerprint, 0xdb6e169e78ba127dull);
+  EXPECT_EQ(report.latency.fingerprint(), 0xe28dd751fbfccbebull);
+}
+
 // --- graph engine -----------------------------------------------------------
 
 TEST(Graph, MakeSkewedGraphIsValidUndirectedCsr) {

@@ -1,10 +1,14 @@
-// Test-only access to the ShardedSimulator's stretch policy. The engine
-// picks solo or parallel stretches from deterministic slack counts, so a
-// sparse test workload would never run a parallel round; tests that check
-// the parallel path pin it here instead.
+// Test-only access to the ShardedSimulator's stretch policy and pair
+// latency state. The engine picks solo or parallel stretches from
+// deterministic slack counts, so a sparse test workload would never run a
+// parallel round; tests that check the parallel path pin it here instead.
+// Likewise only machines past kDensePairCap shards collapse the pair
+// matrix into per-source floors; small tests lower the cap here.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "sim/parallel.h"
 
@@ -17,6 +21,19 @@ class ShardedSimulatorTestPeer {
   static void pin_parallel(ShardedSimulator& engine) {
     engine.pinned_parallel_ = true;
     engine.parallel_ = engine.threads_ > 1;
+  }
+
+  /// An engine that materializes the dense pair matrix only up to
+  /// `dense_pair_cap` shards, so a few shards reach the collapsed
+  /// per-source-floor horizons.
+  static ShardedSimulator with_dense_pair_cap(ShardedConfig config,
+                                              std::size_t dense_pair_cap) {
+    return ShardedSimulator(std::move(config), dense_pair_cap);
+  }
+
+  /// True when `engine` takes its horizons from the dense pair matrix.
+  static bool has_pair_matrix(const ShardedSimulator& engine) {
+    return !engine.pair_matrix_.empty();
   }
 
   /// Pins every engine constructed while it lives, on any thread, and

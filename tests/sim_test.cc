@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "sim/inline_action.h"
-#include "sim/server.h"
 #include "sim/simulator.h"
 #include "sim/timeline.h"
 
@@ -101,13 +101,8 @@ TEST(Simulator, EventsPerSecondCounter) {
 
 // FNV-1a over the executed (time, counter) trace.
 struct TraceHasher {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
+  std::uint64_t h = kFnvSeed;
+  void mix(std::uint64_t v) { h = fnv_mix(h, v); }
 };
 
 std::uint64_t trace_hash_workload() {
@@ -332,55 +327,6 @@ TEST(CalendarTimeline, MatchesTimelineForInOrderLoads) {
     EXPECT_EQ(fifo.reserve(ready, service), cal.reserve(ready, service));
   }
   EXPECT_EQ(fifo.busy_time(), cal.busy_time());
-}
-
-TEST(Server, ProcessesFifo) {
-  Simulator sim;
-  Server server(sim, "s");
-  std::vector<SimTime> finishes;
-  server.submit(100, [&](SimTime t) { finishes.push_back(t); });
-  server.submit(50, [&](SimTime t) { finishes.push_back(t); });
-  sim.run();
-  EXPECT_EQ(finishes, (std::vector<SimTime>{100, 150}));
-  EXPECT_EQ(server.completed(), 2u);
-  EXPECT_EQ(server.busy_time(), 150u);
-}
-
-TEST(Server, QueueLengthTracksBacklog) {
-  Simulator sim;
-  Server server(sim, "s");
-  server.submit(100, nullptr);
-  server.submit(100, nullptr);
-  server.submit(100, nullptr);
-  EXPECT_EQ(server.queue_length(), 3u);
-  sim.run();
-  EXPECT_EQ(server.queue_length(), 0u);
-}
-
-TEST(Server, CompletionCanSubmitMore) {
-  Simulator sim;
-  Server server(sim, "s");
-  int chain = 0;
-  std::function<void(SimTime)> next = [&](SimTime) {
-    if (++chain < 3) server.submit(10, next);
-  };
-  server.submit(10, next);
-  sim.run();
-  EXPECT_EQ(chain, 3);
-  EXPECT_EQ(sim.now(), 30u);
-}
-
-TEST(Server, SubmittedAfterIdleResumesAtCurrentTime) {
-  Simulator sim;
-  Server server(sim, "s");
-  SimTime second_finish = 0;
-  server.submit(10, nullptr);
-  sim.run();
-  sim.schedule_at(100, [&] {
-    server.submit(5, [&](SimTime t) { second_finish = t; });
-  });
-  sim.run();
-  EXPECT_EQ(second_finish, 105u);
 }
 
 }  // namespace
