@@ -170,6 +170,15 @@ MeshResult run_mesh(bool reactive, std::size_t sim_threads) {
   rc.workers_per_node = 2;
   rc.threads = sim_threads;
   rc.internode_radices = {4, 2};
+  if (reactive) {
+    // The mesh's own policy: a shorter epoch and a lower locality gain
+    // than the KV scenarios'.
+    rc.runtime.repartition_epoch = microseconds(20);
+    rc.runtime.repartition_max_moves = 64;
+    rc.runtime.repartition_alpha = 0.7;
+    rc.runtime.repartition_cooldown = 2;
+    rc.runtime.repartition_min_gain = 32;
+  }
   ShardedRuntime rt(rc);
 
   repart::MeshConfig mc;
@@ -178,18 +187,10 @@ MeshResult run_mesh(bool reactive, std::size_t sim_threads) {
   mc.front_period = milliseconds(1);
   mc.duration = microseconds(500);
 
-  // The RepartConfig constructor (rather than the RuntimeConfig knobs):
-  // the mesh wants a slower cadence than the KV scenarios.
   std::unique_ptr<repart::Repartitioner> rp;
   if (reactive) {
-    repart::RepartConfig cfg;
-    cfg.epoch = microseconds(20);
-    cfg.max_moves = 64;
-    cfg.alpha = 0.7;
-    cfg.cooldown = 2;
-    cfg.min_gain = 32;
     rp = std::make_unique<repart::Repartitioner>(
-        rt, cfg, mc.cells,
+        rt, mc.cells,
         repart::MeshWorkload::contiguous_owners(mc.cells, kNodes));
   }
   repart::MeshWorkload mesh(rt, rp.get(), mc);

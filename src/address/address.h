@@ -94,8 +94,5 @@ inline constexpr int kPageShift = 12;
 using PageId = std::uint64_t;
 
 inline PageId page_of(GlobalAddress a) { return a.raw() >> kPageShift; }
-inline PageId page_of_offset(std::uint64_t offset) {
-  return offset >> kPageShift;
-}
 
 }  // namespace ecoscale

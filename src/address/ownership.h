@@ -80,7 +80,6 @@ class OwnershipDirectory {
   }
 
   std::uint64_t migrations() const { return migrations_; }
-  std::size_t page_count() const { return pages_; }
 
  private:
   // 0xFFFF never names a real node (NodeId is 8-bit in GlobalAddress).

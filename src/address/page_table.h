@@ -36,8 +36,6 @@ class PageTable {
   /// Number of radix levels the hardware walker traverses on a miss.
   int levels() const { return levels_; }
 
-  std::size_t entry_count() const { return entries_.size(); }
-
  private:
   int levels_;
   std::unordered_map<PageId, PageId> entries_;

@@ -50,12 +50,6 @@ class HealthRegistry {
     return false;
   }
 
-  std::size_t up_workers() const {
-    std::size_t n = 0;
-    for (const Entry& e : entries_) n += e.up ? 1 : 0;
-    return n;
-  }
-
   // --- fabric blacklist (UNILOGIC retry escalation) ------------------------
   /// After bounded retries against a failing remote fabric the pool
   /// blacklists it: remote placement skips it until `until`.

@@ -56,7 +56,6 @@ inline constexpr Picojoules kNanojoule = 1e3;
 inline constexpr Picojoules kMicrojoule = 1e6;
 inline constexpr Picojoules kMillijoule = 1e9;
 
-constexpr double to_nanojoules(Picojoules e) { return e / kNanojoule; }
 constexpr double to_microjoules(Picojoules e) { return e / kMicrojoule; }
 constexpr double to_millijoules(Picojoules e) { return e / kMillijoule; }
 

@@ -55,10 +55,6 @@ struct AcceleratorModule {
   Picojoules compute_energy(std::uint64_t items) const {
     return pj_per_item * static_cast<double>(items);
   }
-
-  /// Raw bitstream size when the partial region is the module's bounding
-  /// box (GoAhead-minimised).
-  Bytes bbox_bitstream_bytes() const { return shape.slots() * kBytesPerSlot; }
 };
 
 }  // namespace ecoscale

@@ -16,7 +16,7 @@ struct ReconfigTraceNames {
       CounterRegistry::intern("fabric.reconfig.lz"),
   };
 };
-[[maybe_unused]] const ReconfigTraceNames& reconfig_trace_names() {
+const ReconfigTraceNames& reconfig_trace_names() {
   static const ReconfigTraceNames names;
   return names;
 }

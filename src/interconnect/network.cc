@@ -19,7 +19,7 @@ struct NetTraceNames {
   CounterId packets = CounterRegistry::intern("net.packets");
   CounterId byte_hops = CounterRegistry::intern("net.byte_hops");
 };
-[[maybe_unused]] const NetTraceNames& net_trace_names() {
+const NetTraceNames& net_trace_names() {
   static const NetTraceNames names;
   return names;
 }

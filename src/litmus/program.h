@@ -71,11 +71,6 @@ inline Op fetch_add(std::uint8_t page, std::uint8_t var,
 inline Op swap(std::uint8_t page, std::uint8_t var, std::uint64_t value) {
   return Op{OpKind::kAtomic, page, var, value, 0, AtomicOp::kSwap};
 }
-inline Op compare_swap(std::uint8_t page, std::uint8_t var,
-                       std::uint64_t expected, std::uint64_t desired) {
-  return Op{OpKind::kAtomic, page, var, desired, expected,
-            AtomicOp::kCompareSwap};
-}
 inline Op migrate(std::uint8_t page, NodeId dst) {
   Op op{OpKind::kMigrate, page};
   op.dst_node = dst;
@@ -159,16 +154,6 @@ struct LitmusProgram {
     std::size_t n = 0;
     for (const auto& t : threads) n += t.ops.size();
     return n;
-  }
-  bool has_fault_edges() const {
-    for (const auto& t : threads) {
-      for (const auto& op : t.ops) {
-        if (op.kind == OpKind::kCrash || op.kind == OpKind::kRepair) {
-          return true;
-        }
-      }
-    }
-    return false;
   }
 
   /// Structural validity: distinct nodes per thread, in-range pages/vars/

@@ -6,12 +6,28 @@
 
 #include "common/check.h"
 #include "common/hash.h"
+#include "common/units.h"
 #include "sim/parallel.h"
 #include "sim/perturb.h"
 
 namespace ecoscale::litmus {
 
 namespace {
+
+/// Protocol timing. The fixed cross-shard hop latency doubles as the
+/// engine lookahead; every issue, retry and broadcast delay adds up to
+/// kMaxJitter of seeded perturbation; kLocalDelay separates a thread's op
+/// completing from its next op issuing. Dead-owner handling mirrors
+/// PgasConfig's retry contract: kMaxRetries nacks with linear backoff
+/// (kRetryTimeout + attempt * kRetryBackoff), then page failover.
+constexpr SimDuration kHop = nanoseconds(200);
+constexpr SimDuration kMaxJitter = nanoseconds(500);
+constexpr SimDuration kLocalDelay = nanoseconds(20);
+constexpr std::size_t kMaxRetries = 3;
+constexpr SimDuration kRetryTimeout = microseconds(2);
+constexpr SimDuration kRetryBackoff = microseconds(1);
+static_assert(kHop > 0 && kLocalDelay > 0,
+              "litmus hop/local delays must be positive");
 
 constexpr std::size_t kNoSlot = ~std::size_t{0};
 constexpr std::uint8_t kMarkerThread = 0xff;  // ownership-change log entry
@@ -65,18 +81,15 @@ class ShardedLitmusRun {
   ShardedLitmusRun(const LitmusProgram& program,
                    const RandomizedConfig& config, std::uint64_t round)
       : program_(program),
-        config_(config),
         perturb_(config.seed + 0x9e3779b97f4a7c15ull * (round + 1)),
         sim_([&] {
           ShardedConfig sc;
           sc.shards = program.nodes;
-          sc.lookahead = config.hop;
+          sc.lookahead = kHop;
           sc.threads = config.sim_threads;
           return sc;
         }()) {
     program_.validate();
-    ECO_CHECK_MSG(config_.hop > 0 && config_.local_delay > 0,
-                  "litmus hop/local delays must be positive");
     nodes_.resize(program_.nodes);
     for (std::size_t n = 0; n < program_.nodes; ++n) {
       nodes_[n].owner_view.assign(program_.page_owner.begin(),
@@ -159,7 +172,7 @@ class ShardedLitmusRun {
   /// complete), so each stream's draw order is the thread's own event
   /// order — deterministic, engine-thread-count invariant.
   SimDuration jitter(std::size_t t) {
-    return perturb_.jitter(t, threads_[t].draws++, config_.max_jitter);
+    return perturb_.jitter(t, threads_[t].draws++, kMaxJitter);
   }
 
   /// Cross-shard post, or a same-shard event when source == destination
@@ -189,7 +202,7 @@ class ShardedLitmusRun {
           serve(s, msg);  // owner is local: serialize right here
         } else {
           deliver(s, nodes_[s].owner_view[op.page],
-                  now + config_.hop + jitter(t),
+                  now + kHop + jitter(t),
                   [this, msg, d = nodes_[s].owner_view[op.page]] {
                     access_at(d, msg);
                   });
@@ -197,7 +210,7 @@ class ShardedLitmusRun {
         break;
       case OpKind::kMigrate:
         deliver(s, nodes_[s].owner_view[op.page],
-                now + config_.hop + jitter(t),
+                now + kHop + jitter(t),
                 [this, msg, d = nodes_[s].owner_view[op.page]] {
                   migrate_at(d, msg);
                 });
@@ -208,7 +221,7 @@ class ShardedLitmusRun {
         // genuinely races the thread's subsequent accesses.
         const bool up = op.kind == OpKind::kRepair;
         const NodeId target = op.dst_node;
-        deliver(s, target, now + config_.hop + jitter(t),
+        deliver(s, target, now + kHop + jitter(t),
                 [this, target, up] { nodes_[target].alive = up; });
         complete(t);
         break;
@@ -223,7 +236,7 @@ class ShardedLitmusRun {
     const SimTime now = sim_.shard(d).now();
     if (!nodes_[d].alive) {
       ++nodes_[d].nacks;
-      deliver(d, home(msg.thread), now + config_.hop,
+      deliver(d, home(msg.thread), now + kHop,
               [this, msg] { on_nack(msg); });
       return;
     }
@@ -252,7 +265,7 @@ class ShardedLitmusRun {
       complete(msg.thread);
     } else {
       const SimTime now = sim_.shard(d).now();
-      deliver(d, h, now + config_.hop, [this, msg, observed] {
+      deliver(d, h, now + kHop, [this, msg, observed] {
         record(msg, observed);
         complete(msg.thread);
       });
@@ -272,7 +285,7 @@ class ShardedLitmusRun {
     ECO_CHECK_MSG(msg.hops < 64, "litmus forwarding chain does not converge");
     ++nodes_[d].forwards;
     const SimTime now = sim_.shard(d).now();
-    deliver(d, to, now + config_.hop,
+    deliver(d, to, now + kHop,
             [next = std::forward<Next>(next), to, msg] { next(to, msg); });
   }
 
@@ -285,9 +298,9 @@ class ShardedLitmusRun {
     const SimTime now = sim_.shard(s).now();
     ThreadState& th = threads_[msg.thread];
     ++th.attempts;
-    if (th.attempts < config_.max_retries) {
+    if (th.attempts < kMaxRetries) {
       const SimDuration backoff =
-          config_.retry_timeout + th.attempts * config_.retry_backoff;
+          kRetryTimeout + th.attempts * kRetryBackoff;
       sim_.shard(s).schedule_at(now + backoff + jitter(msg.thread),
                                 [this, t = msg.thread] { issue(t); });
       return;
@@ -295,7 +308,7 @@ class ShardedLitmusRun {
     th.attempts = 0;
     const Op& op = op_of(msg);
     const std::size_t dead = nodes_[s].owner_view[op.page];
-    deliver(s, dead, now + config_.hop + jitter(msg.thread),
+    deliver(s, dead, now + kHop + jitter(msg.thread),
             [this, msg, dead] { fetch_at(dead, msg); });
   }
 
@@ -310,7 +323,7 @@ class ShardedLitmusRun {
     PageState& page = nodes_[d].pages[op.page];
     if (!page.present) {
       // Someone else already re-homed it; send the requester our view.
-      deliver(d, home(msg.thread), now + config_.hop,
+      deliver(d, home(msg.thread), now + kHop,
               [this, msg, owner = nodes_[d].owner_view[op.page]] {
                 on_redirect(msg, owner);
               });
@@ -326,7 +339,7 @@ class ShardedLitmusRun {
     auto log = std::move(page.log);
     page = PageState{};
     nodes_[d].owner_view[op.page] = static_cast<NodeId>(target);
-    deliver(d, target, now + config_.hop,
+    deliver(d, target, now + kHop,
             [this, msg, target, vars, log = std::move(log)]() mutable {
               install(target, msg, vars, std::move(log), /*failover=*/true);
             });
@@ -364,7 +377,7 @@ class ShardedLitmusRun {
     auto log = std::move(page.log);
     page = PageState{};
     nodes_[d].owner_view[op.page] = static_cast<NodeId>(dst);
-    deliver(d, dst, now + config_.hop,
+    deliver(d, dst, now + kHop,
             [this, msg, dst, vars, log = std::move(log)]() mutable {
               install(dst, msg, vars, std::move(log), /*failover=*/false);
             });
@@ -388,7 +401,7 @@ class ShardedLitmusRun {
     nodes_[d].owner_view[op.page] = static_cast<NodeId>(d);
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
       if (n == d) continue;
-      deliver(d, n, now + config_.hop,
+      deliver(d, n, now + kHop,
               [this, n, d, p = op.page] {
                 // Stale broadcasts must not displace a shard that holds
                 // the page or point it at itself while it does not.
@@ -415,7 +428,7 @@ class ShardedLitmusRun {
       return;
     }
     const SimTime now = sim_.shard(d).now();
-    deliver(d, h, now + config_.hop,
+    deliver(d, h, now + kHop,
             [this, t = msg.thread] { complete(t); });
   }
 
@@ -435,12 +448,11 @@ class ShardedLitmusRun {
     th.attempts = 0;
     if (th.cursor >= program_.threads[t].ops.size()) return;
     const SimTime now = sim_.shard(s).now();
-    sim_.shard(s).schedule_at(now + config_.local_delay + jitter(t),
+    sim_.shard(s).schedule_at(now + kLocalDelay + jitter(t),
                               [this, t] { issue(t); });
   }
 
   LitmusProgram program_;
-  RandomizedConfig config_;
   SchedulePerturb perturb_;
   ShardedSimulator sim_;
   std::vector<NodeState> nodes_;

@@ -22,13 +22,14 @@
 // (a pure hash of (seed, thread, draw#)), so the schedule is a
 // deterministic function of the seed alone. Together with the engine's
 // canonical merge this makes a run byte-identical across `--sim-threads`
-// values: same outcome, same per-page logs, same fingerprint.
+// values: same outcome, same per-page logs, same fingerprint. The
+// protocol timing (hop latency, jitter bound, retry contract) is fixed in
+// sharded.cc; a run varies only in its seed, rounds and engine threads.
 #pragma once
 
 #include <cstdint>
 #include <set>
 
-#include "common/units.h"
 #include "litmus/oracle.h"
 #include "litmus/program.h"
 
@@ -40,16 +41,6 @@ struct RandomizedConfig {
   std::uint64_t seed = 1;
   /// Randomized schedules (independent perturbation seeds) per program.
   std::size_t rounds = 64;
-  /// Fixed cross-shard hop latency; doubles as the engine lookahead.
-  SimDuration hop = nanoseconds(200);
-  /// Maximum perturbation added to each issue/retry/broadcast delay.
-  SimDuration max_jitter = nanoseconds(500);
-  /// Delay between a thread's op completing and its next op issuing.
-  SimDuration local_delay = nanoseconds(20);
-  /// Dead-owner handling, mirroring PgasConfig's retry contract.
-  std::size_t max_retries = 3;
-  SimDuration retry_timeout = microseconds(2);
-  SimDuration retry_backoff = microseconds(1);
 };
 
 /// One perturbation round. `fingerprint` hashes the outcome, every page's

@@ -127,7 +127,6 @@ class CartTopology {
   CartTopology(std::vector<std::size_t> dims, bool periodic);
 
   std::size_t size() const;
-  std::size_t ndims() const { return dims_.size(); }
   const std::vector<std::size_t>& dims() const { return dims_; }
 
   std::size_t rank_of(std::span<const std::size_t> coords) const;

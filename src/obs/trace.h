@@ -234,14 +234,22 @@ inline TraceRecorder* tracer(Cat c) {
 // All arguments after `cat` are evaluated only when the category is
 // enabled, so name lookups (function-local statics) and attribute
 // computation cost nothing while tracing is off. ECO_TRACE_DISABLED
-// removes the sites entirely.
+// removes the sites entirely: the arguments only appear in an unevaluated
+// sizeof, so they generate no code but still count as uses, and a local
+// or helper that exists only to feed a trace site does not warn.
 #if defined(ECO_TRACE_DISABLED)
 
-#define ECO_TRACE_SPAN(cat, name_id, lane, start_ts, end_ts, arg) ((void)0)
-#define ECO_TRACE_BEGIN(cat, name_id, lane, ts) ((void)0)
-#define ECO_TRACE_END(cat, name_id, lane, ts) ((void)0)
-#define ECO_TRACE_INSTANT(cat, name_id, lane, ts, arg) ((void)0)
-#define ECO_TRACE_COUNTER(cat, name_id, lane, ts, value) ((void)0)
+#define ECO_TRACE_UNEVALUATED_(...) ((void)sizeof((__VA_ARGS__)))
+#define ECO_TRACE_SPAN(cat, name_id, lane, start_ts, end_ts, arg) \
+  ECO_TRACE_UNEVALUATED_((cat), (name_id), (lane), (start_ts), (end_ts), (arg))
+#define ECO_TRACE_BEGIN(cat, name_id, lane, ts) \
+  ECO_TRACE_UNEVALUATED_((cat), (name_id), (lane), (ts))
+#define ECO_TRACE_END(cat, name_id, lane, ts) \
+  ECO_TRACE_UNEVALUATED_((cat), (name_id), (lane), (ts))
+#define ECO_TRACE_INSTANT(cat, name_id, lane, ts, arg) \
+  ECO_TRACE_UNEVALUATED_((cat), (name_id), (lane), (ts), (arg))
+#define ECO_TRACE_COUNTER(cat, name_id, lane, ts, value) \
+  ECO_TRACE_UNEVALUATED_((cat), (name_id), (lane), (ts), (value))
 
 #else
 

@@ -25,6 +25,18 @@ const MeshTraceNames& mesh_names() {
 
 constexpr std::uint16_t kSettleTid = 0xFFE1;
 
+/// Maximum ring distance a chord may span.
+constexpr std::uint64_t kChordSpan = 16;
+/// Fixed cost of one step event (pacing), plus per-owned-active-cell
+/// update cost and per-remote-halo-read penalty.
+constexpr SimDuration kStepBase = nanoseconds(400);
+constexpr SimDuration kCellCost = nanoseconds(40);
+constexpr SimDuration kRemoteReadCost = nanoseconds(6);
+/// Bytes per halo value (access weighting + byte-hop accounting) and
+/// bytes of state that travel when a cell migrates.
+constexpr std::uint64_t kHaloBytes = 8;
+constexpr std::uint64_t kCellStateBytes = 512;
+
 }  // namespace
 
 std::vector<std::uint32_t> MeshWorkload::contiguous_owners(std::size_t cells,
@@ -59,8 +71,7 @@ MeshWorkload::MeshWorkload(ShardedRuntime& rt, Repartitioner* repart,
   Rng rng(cfg_.seed);
   for (std::size_t i = 0; i < cfg_.chords; ++i) {
     const auto a = static_cast<std::uint32_t>(rng.uniform_u64(cells));
-    const std::uint64_t span =
-        2 + rng.uniform_u64(std::max<std::size_t>(cfg_.chord_span, 1));
+    const std::uint64_t span = 2 + rng.uniform_u64(kChordSpan);
     const auto b = static_cast<std::uint32_t>((a + span) % cells);
     if (a != b) edges.emplace_back(a, b);
   }
@@ -109,7 +120,7 @@ void MeshWorkload::step(std::size_t n, SimTime now) {
   const std::uint64_t center = front_center(now);
   const std::uint64_t lo = center + cells - active / 2;
 
-  SimDuration dur = cfg_.step_base + st.migrate_backlog;
+  SimDuration dur = kStepBase + st.migrate_backlog;
   st.migrate_backlog = 0;
   std::fill(st.peer.begin(), st.peer.end(), 0);
   std::uint64_t owned = 0;
@@ -120,7 +131,7 @@ void MeshWorkload::step(std::size_t n, SimTime now) {
     ++owned;
     ++st.updates;
     if (repart_ != nullptr) {
-      repart_->tracker().record_work(n, cell, cfg_.cell_cost);
+      repart_->tracker().record_work(n, cell, kCellCost);
     }
     for (std::uint32_t e = nbr_offset_[cell]; e < nbr_offset_[cell + 1]; ++e) {
       const std::uint32_t nb = nbr_[e];
@@ -128,20 +139,20 @@ void MeshWorkload::step(std::size_t n, SimTime now) {
       // Reading nb's halo from node n is the pull that makes nb prefer n.
       if (repart_ != nullptr) {
         repart_->tracker().record_access(
-            n, nb, static_cast<std::uint32_t>(n), cfg_.halo_bytes);
+            n, nb, static_cast<std::uint32_t>(n), kHaloBytes);
       }
       const std::uint32_t m = cell_owner(nb);
       if (m != n) {
         ++remote;
         ++st.remote_reads;
         st.halo_byte_hops +=
-            cfg_.halo_bytes *
+            kHaloBytes *
             static_cast<std::uint64_t>(rt_.internode().hop_count(n, m));
         ++st.peer[m];
       }
     }
   }
-  dur += owned * cfg_.cell_cost + remote * cfg_.remote_read_cost;
+  dur += owned * kCellCost + remote * kRemoteReadCost;
 
   // One halo notification per peer that served us remote reads this step.
   for (std::size_t m = 0; m < st.peer.size(); ++m) {
@@ -159,14 +170,17 @@ void MeshWorkload::step(std::size_t n, SimTime now) {
   }
 }
 
+std::uint64_t MeshWorkload::item_bytes(std::uint32_t) const {
+  return kCellStateBytes;
+}
+
 void MeshWorkload::migrate_item(std::uint32_t item, std::uint32_t from,
                                 std::uint32_t to, SimTime at) {
-  (void)item;
   // The cell state rides the inter-node fabric; both ends absorb the
   // settle cost into their next step (charged at the epoch pause — a
   // consistent cut, so the charge is thread-count-invariant).
   const SimDuration wire = rt_.inter_node_latency(from, to) +
-                           nanoseconds(cfg_.cell_state_bytes / 64 + 1);
+                           nanoseconds(kCellStateBytes / 64 + 1);
   nodes_[from].migrate_backlog += wire / 2;
   nodes_[to].migrate_backlog += wire;
   ++nodes_[to].migrations_in;

@@ -31,24 +31,13 @@ class ShardedRuntime;
 
 namespace ecoscale::repart {
 
+/// Chord span, step costs and halo / cell-state sizes are fixed constants
+/// of mesh.cc; these fields size the mesh and shape its activity front.
 struct MeshConfig {
   std::size_t cells = 2048;
   /// Extra random short-range edges on top of the ring.
   std::size_t chords = 1024;
-  /// Maximum ring distance a chord may span.
-  std::size_t chord_span = 16;
   std::uint64_t seed = 1234;
-
-  /// Fixed cost of one step event (pacing), plus per-owned-active-cell
-  /// update cost and per-remote-halo-read penalty.
-  SimDuration step_base = nanoseconds(400);
-  SimDuration cell_cost = nanoseconds(40);
-  SimDuration remote_read_cost = nanoseconds(6);
-
-  /// Bytes per halo value (access weighting + byte-hop accounting) and
-  /// bytes of state that travel when a cell migrates.
-  std::uint64_t halo_bytes = 8;
-  std::uint64_t cell_state_bytes = 512;
 
   /// Fraction of the ring active at once, and the simulated time the
   /// front takes to lap the ring (0 = stationary front at cell 0).
@@ -76,9 +65,7 @@ class MeshWorkload : public RepartClient {
   void start();
 
   // RepartClient
-  std::uint64_t item_bytes(std::uint32_t) const override {
-    return cfg_.cell_state_bytes;
-  }
+  std::uint64_t item_bytes(std::uint32_t) const override;
   void migrate_item(std::uint32_t item, std::uint32_t from, std::uint32_t to,
                     SimTime at) override;
 

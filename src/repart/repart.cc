@@ -19,7 +19,7 @@ struct RepartTraceNames {
   CounterId migrate = CounterRegistry::intern("repart.migrate");
   CounterId imbalance = CounterRegistry::intern("repart.imbalance");
 };
-[[maybe_unused]] const RepartTraceNames& repart_names() {
+const RepartTraceNames& repart_names() {
   static const RepartTraceNames names;
   return names;
 }
@@ -29,27 +29,10 @@ constexpr std::uint16_t kRepartTid = 0xFFE0;
 
 }  // namespace
 
-RepartConfig RepartConfig::from(const RuntimeConfig& rc) {
-  RepartConfig cfg;
-  cfg.epoch = rc.repartition_epoch;
-  cfg.max_moves = rc.repartition_max_moves;
-  cfg.imbalance = rc.repartition_imbalance;
-  cfg.alpha = rc.repartition_alpha;
-  cfg.cooldown = rc.repartition_cooldown;
-  cfg.min_gain = rc.repartition_min_gain;
-  return cfg;
-}
-
 Repartitioner::Repartitioner(ShardedRuntime& rt, std::size_t items,
                              std::vector<std::uint32_t> initial_owner)
-    : Repartitioner(rt, RepartConfig::from(rt.config().runtime), items,
-                    std::move(initial_owner)) {}
-
-Repartitioner::Repartitioner(ShardedRuntime& rt, RepartConfig cfg,
-                             std::size_t items,
-                             std::vector<std::uint32_t> initial_owner)
     : rt_(rt),
-      cfg_(cfg),
+      cfg_(rt.config().runtime),
       levels_(TreeLevels::from_network(rt.internode(), rt.node_count())),
       tracker_(rt.node_count(), items),
       owner_(std::move(initial_owner)),
@@ -58,13 +41,16 @@ Repartitioner::Repartitioner(ShardedRuntime& rt, RepartConfig cfg,
       planned_(items, false) {
   ECO_CHECK_MSG(owner_.size() == items, "one initial owner per item");
   for (const std::uint32_t o : owner_) ECO_CHECK(o < rt_.node_count());
-  ECO_CHECK(cfg_.alpha >= 0.0 && cfg_.alpha <= 1.0);
+  ECO_CHECK(cfg_.repartition_alpha >= 0.0 && cfg_.repartition_alpha <= 1.0);
 }
 
 void Repartitioner::install() {
-  ECO_CHECK_MSG(cfg_.epoch > 0, "repartitioning needs a nonzero epoch");
-  rt_.set_epoch_policy(
-      cfg_.epoch, [this](std::size_t epoch, SimTime at) { on_epoch(epoch, at); });
+  ECO_CHECK_MSG(cfg_.repartition_epoch > 0,
+                "repartitioning needs a nonzero epoch");
+  rt_.set_epoch_policy(cfg_.repartition_epoch,
+                       [this](std::size_t epoch, SimTime at) {
+                         on_epoch(epoch, at);
+                       });
 }
 
 void Repartitioner::on_epoch(std::size_t epoch, SimTime at) {
@@ -73,26 +59,18 @@ void Repartitioner::on_epoch(std::size_t epoch, SimTime at) {
   const std::size_t n = rt_.node_count();
   const std::size_t items = owner_.size();
 
-  // Balance mass per node: windowed work of its items, plus (optionally)
-  // the scheduler backlog. Capacity: what the heartbeat monitor believes
-  // is alive — a degraded node keeps its offered load but loses capacity,
-  // which is exactly what makes diffusion drain it under faults.
+  // Balance mass per node: windowed work of its items. Capacity: what the
+  // heartbeat monitor believes is alive — a degraded node keeps its
+  // offered load but loses capacity, which is exactly what makes diffusion
+  // drain it under faults.
   node_load_.assign(n, 0.0);
   node_cap_.assign(n, 0.0);
   for (std::size_t i = 0; i < items; ++i) {
     node_load_[owner_[i]] += static_cast<double>(window_.work[i]);
   }
   for (std::size_t d = 0; d < n; ++d) {
-    RuntimeSystem& rs = rt_.runtime(d);
-    node_cap_[d] = static_cast<double>(rs.believed_alive_workers());
-    if (cfg_.queue_depth_weight > 0) {
-      std::uint64_t depth = 0;
-      for (std::size_t w = 0; w < rs.worker_count(); ++w) {
-        depth += rs.queue_depth(w);
-      }
-      node_load_[d] +=
-          static_cast<double>(depth * cfg_.queue_depth_weight);
-    }
+    node_cap_[d] =
+        static_cast<double>(rt_.runtime(d).believed_alive_workers());
   }
 
   // Capacity-normalized imbalance (max per-alive-worker load over the
@@ -121,17 +99,19 @@ void Repartitioner::on_epoch(std::size_t epoch, SimTime at) {
   }
   stats_.last_imbalance = imb;
 
-  node_target_ = diffusion_targets(levels_, node_load_, node_cap_, cfg_.alpha);
+  node_target_ = diffusion_targets(levels_, node_load_, node_cap_,
+                                   cfg_.repartition_alpha);
 
   std::vector<Move> plan;
-  plan.reserve(cfg_.max_moves);
+  plan.reserve(cfg_.repartition_max_moves);
   std::fill(planned_.begin(), planned_.end(), false);
   plan_locality(epoch, plan);
-  if (imb >= cfg_.imbalance) plan_balance(epoch, plan);
+  if (imb >= cfg_.repartition_imbalance) plan_balance(epoch, plan);
 
   ECO_TRACE_SPAN(obs::Cat::kRepart, repart_names().epoch,
                  (obs::Lane{obs::kSimPid, kRepartTid}),
-                 at > cfg_.epoch ? at - cfg_.epoch : 0, at, epoch);
+                 at > cfg_.repartition_epoch ? at - cfg_.repartition_epoch : 0,
+                 at, epoch);
   ECO_TRACE_COUNTER(obs::Cat::kRepart, repart_names().imbalance,
                     (obs::Lane{obs::kSimPid, kRepartTid}), at,
                     static_cast<std::uint64_t>(
@@ -165,8 +145,8 @@ void Repartitioner::plan_locality(std::size_t epoch, std::vector<Move>& plan) {
     }
     const std::uint32_t own = owner_[i];
     if (pref != kNoPref && pref == prev_pref_[i] && pref != own &&
-        best >= acc[own] + cfg_.min_gain && epoch >= movable_at_[i] &&
-        node_cap_[pref] > 0.0) {
+        best >= acc[own] + cfg_.repartition_min_gain &&
+        epoch >= movable_at_[i] && node_cap_[pref] > 0.0) {
       const auto hops = static_cast<std::uint64_t>(
           rt_.internode().hop_count(own, pref));
       cands.push_back(
@@ -181,7 +161,7 @@ void Repartitioner::plan_locality(std::size_t epoch, std::vector<Move>& plan) {
     return a.item < b.item;
   });
   for (const Cand& c : cands) {
-    if (plan.size() >= cfg_.max_moves) break;
+    if (plan.size() >= cfg_.repartition_max_moves) break;
     plan.push_back(Move{static_cast<std::uint64_t>(epoch), c.item, c.from,
                         c.to, MoveKind::kLocality});
     planned_[c.item] = true;
@@ -194,7 +174,7 @@ void Repartitioner::plan_locality(std::size_t epoch, std::vector<Move>& plan) {
 
 void Repartitioner::plan_balance(std::size_t epoch, std::vector<Move>& plan) {
   const std::size_t n = rt_.node_count();
-  if (plan.size() >= cfg_.max_moves) return;
+  if (plan.size() >= cfg_.repartition_max_moves) return;
   // Movable items per donor node, heaviest first.
   std::vector<std::vector<std::uint32_t>> pool(n);
   for (std::uint32_t i = 0; i < owner_.size(); ++i) {
@@ -221,14 +201,15 @@ void Repartitioner::plan_balance(std::size_t epoch, std::vector<Move>& plan) {
   for (std::size_t d = 0; d < n; ++d) mean_load += node_load_[d];
   mean_load /= static_cast<double>(n);
   std::vector<std::size_t> next(n, 0);
-  while (plan.size() < cfg_.max_moves) {
+  while (plan.size() < cfg_.repartition_max_moves) {
     // Donor: largest surplus over its diffusion target with items left.
     std::size_t donor = n;
     double best_surplus = 0.0;
     for (std::size_t d = 0; d < n; ++d) {
       if (next[d] >= pool[d].size()) continue;
       const double surplus = node_load_[d] - node_target_[d];
-      if (node_cap_[d] > 0.0 && surplus < cfg_.imbalance * mean_load) {
+      if (node_cap_[d] > 0.0 &&
+          surplus < cfg_.repartition_imbalance * mean_load) {
         continue;
       }
       if (surplus > best_surplus) {
@@ -280,7 +261,7 @@ void Repartitioner::plan_balance(std::size_t epoch, std::vector<Move>& plan) {
 void Repartitioner::execute(const std::vector<Move>& plan, SimTime at) {
   for (const Move& m : plan) {
     owner_[m.item] = m.to;
-    movable_at_[m.item] = m.epoch + cfg_.cooldown;
+    movable_at_[m.item] = m.epoch + cfg_.repartition_cooldown;
     const std::uint64_t bytes = client_ ? client_->item_bytes(m.item) : 0;
     const auto hops =
         static_cast<std::uint64_t>(rt_.internode().hop_count(m.from, m.to));

@@ -12,7 +12,7 @@
 //
 // Determinism at any --sim-threads (the property bench_repart and
 // repart_test fingerprint-check 1 vs N):
-//  * inputs: the folded windows, queue depths and believed-alive sets are
+//  * inputs: the folded windows and believed-alive sets are
 //    deterministic simulation state, read only while every shard is
 //    paused at the same simulated instant;
 //  * decisions: the plan is a pure function of those inputs — fixed
@@ -40,31 +40,6 @@ struct RuntimeConfig;
 
 namespace ecoscale::repart {
 
-struct RepartConfig {
-  /// Epoch period (the ShardedRuntime pause cadence). Must be > 0 to
-  /// install().
-  SimDuration epoch = microseconds(50);
-  /// Rate limit: most migrations one epoch may execute.
-  std::size_t max_moves = 32;
-  /// Hysteresis floor on capacity-normalized imbalance (max/mean - 1);
-  /// below it an epoch plans no balance moves.
-  double imbalance = 0.10;
-  /// Diffusion damping per epoch (repart/diffusion.h).
-  double alpha = 0.5;
-  /// Epochs an item stays frozen after it moves.
-  std::size_t cooldown = 2;
-  /// Locality moves need this much windowed access-weight advantage at
-  /// the preferred node, and the preference must repeat on two
-  /// consecutive epochs (transient skew never migrates).
-  std::uint64_t min_gain = 16;
-  /// Weight of one queued-or-running task in the balance load vector
-  /// (work-cost units). 0 ignores queue depths.
-  std::uint64_t queue_depth_weight = 0;
-
-  /// The RuntimeConfig::repartition_* knob surface.
-  static RepartConfig from(const RuntimeConfig& rc);
-};
-
 /// What the repartitioner drives. Implementations own the items' actual
 /// state: they copy it and charge the timed cost of the move.
 class RepartClient {
@@ -82,18 +57,16 @@ class RepartClient {
 
 class Repartitioner {
  public:
-  /// Reads the policy knobs from rt.config().runtime.repartition_*.
+  /// Reads the policy knobs (epoch, rate limit, hysteresis, damping,
+  /// cooldown, locality gain) from rt.config().runtime.repartition_*.
   Repartitioner(ShardedRuntime& rt, std::size_t items,
-                std::vector<std::uint32_t> initial_owner);
-  Repartitioner(ShardedRuntime& rt, RepartConfig cfg, std::size_t items,
                 std::vector<std::uint32_t> initial_owner);
 
   void set_client(RepartClient* client) { client_ = client; }
-  /// Install as rt's epoch policy (cfg.epoch must be > 0). Call once,
-  /// before rt.run().
+  /// Install as rt's epoch policy (repartition_epoch must be > 0). Call
+  /// once, before rt.run().
   void install();
 
-  const RepartConfig& config() const { return cfg_; }
   std::size_t item_count() const { return owner_.size(); }
   std::uint32_t owner(std::uint32_t item) const {
     ECO_CHECK(item < owner_.size());
@@ -130,11 +103,6 @@ class Repartitioner {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Last epoch's folded per-node load and diffusion targets (test and
-  /// bench introspection).
-  const std::vector<double>& last_load() const { return node_load_; }
-  const std::vector<double>& last_target() const { return node_target_; }
-
  private:
   void on_epoch(std::size_t epoch, SimTime at);
   void plan_locality(std::size_t epoch, std::vector<Move>& plan);
@@ -142,7 +110,7 @@ class Repartitioner {
   void execute(const std::vector<Move>& plan, SimTime at);
 
   ShardedRuntime& rt_;
-  RepartConfig cfg_;
+  const RuntimeConfig& cfg_;
   TreeLevels levels_;
   LoadTracker tracker_;
   RepartClient* client_ = nullptr;

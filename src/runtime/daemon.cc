@@ -8,7 +8,12 @@
 namespace ecoscale {
 
 namespace {
-[[maybe_unused]] CounterId daemon_prefetch_name() {
+/// EWMA decay of a kernel's call score per tick.
+constexpr double kDecay = 0.7;
+/// Scores below this are too cold to prefetch.
+constexpr double kMinScore = 0.05;
+
+CounterId daemon_prefetch_name() {
   static const CounterId id = CounterRegistry::intern("daemon.prefetch");
   return id;
 }
@@ -16,9 +21,9 @@ namespace {
 
 std::size_t ReconfigDaemon::tick(SimTime now) {
   // 1. Fold the period's calls into the EWMA scores.
-  for (auto& [kernel, score] : scores_) score *= config_.decay;
+  for (auto& [kernel, score] : scores_) score *= kDecay;
   for (const auto& [kernel, calls] : pending_calls_) {
-    scores_[kernel] += (1.0 - config_.decay) * calls;
+    scores_[kernel] += (1.0 - kDecay) * calls;
   }
   pending_calls_.clear();
 
@@ -28,7 +33,7 @@ std::size_t ReconfigDaemon::tick(SimTime now) {
   std::vector<std::pair<double, KernelId>> ranked;
   for (const auto& [kernel, score_value] : scores_) {
     if (!fabric_.is_loaded(kernel) && modules_.contains(kernel) &&
-        score_value >= config_.min_score) {
+        score_value >= kMinScore) {
       ranked.emplace_back(score_value, kernel);
     }
   }

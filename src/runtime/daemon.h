@@ -21,16 +21,9 @@
 
 namespace ecoscale {
 
-struct DaemonConfig {
-  SimDuration period = milliseconds(1);
-  double decay = 0.7;        // EWMA decay per period
-  double min_score = 0.05;   // below this a resident module is evictable
-};
-
 class ReconfigDaemon {
  public:
-  ReconfigDaemon(ReconfigManager& fabric, DaemonConfig config = {})
-      : fabric_(fabric), config_(config) {}
+  explicit ReconfigDaemon(ReconfigManager& fabric) : fabric_(fabric) {}
 
   /// Register a kernel's preferred module.
   void register_module(const AcceleratorModule& module) {
@@ -60,7 +53,6 @@ class ReconfigDaemon {
 
  private:
   ReconfigManager& fabric_;
-  DaemonConfig config_;
   std::map<KernelId, AcceleratorModule> modules_;
   std::map<KernelId, double> scores_;
   std::map<KernelId, double> pending_calls_;

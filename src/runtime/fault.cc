@@ -15,12 +15,12 @@ struct FaultTraceNames {
   CounterId link_degrade = CounterRegistry::intern("fault.link_degrade");
   CounterId link_restore = CounterRegistry::intern("fault.link_restore");
 };
-[[maybe_unused]] const FaultTraceNames& fault_trace_names() {
+const FaultTraceNames& fault_trace_names() {
   static const FaultTraceNames names;
   return names;
 }
 
-[[maybe_unused]] obs::Lane worker_lane(std::size_t w, std::size_t per_node) {
+obs::Lane worker_lane(std::size_t w, std::size_t per_node) {
   return obs::Lane{static_cast<std::uint16_t>(w / per_node),
                    static_cast<std::uint16_t>(w % per_node)};
 }

@@ -9,6 +9,9 @@
 namespace ecoscale {
 
 namespace {
+/// Lazy scheduling: most spills one task may take before it must queue.
+constexpr int kMaxSpillHops = 3;
+
 /// Task-lifetime trace names (ready -> dispatch -> complete, plus the
 /// migration/failure instants), interned once per process.
 struct TaskTraceNames {
@@ -22,20 +25,20 @@ struct TaskTraceNames {
   CounterId shed = CounterRegistry::intern("task.shed");
   CounterId batch = CounterRegistry::intern("task.batch");
 };
-[[maybe_unused]] const TaskTraceNames& task_trace_names() {
+const TaskTraceNames& task_trace_names() {
   static const TaskTraceNames names;
   return names;
 }
 
 /// Execution lane of flat worker `w`: pid = node, tid = worker-in-node.
-[[maybe_unused]] obs::Lane worker_lane(std::size_t w, std::size_t per_node) {
+obs::Lane worker_lane(std::size_t w, std::size_t per_node) {
   return obs::Lane{static_cast<std::uint16_t>(w / per_node),
                    static_cast<std::uint16_t>(w % per_node)};
 }
 
 /// Queue-wait lane of flat worker `w` (queue spans overlap, so they get a
 /// sibling lane instead of breaking the execution lane's nesting).
-[[maybe_unused]] obs::Lane queue_lane(std::size_t w, std::size_t per_node) {
+obs::Lane queue_lane(std::size_t w, std::size_t per_node) {
   return obs::Lane{
       static_cast<std::uint16_t>(w / per_node),
       static_cast<std::uint16_t>(obs::kQueueTidBase + w % per_node)};
@@ -48,14 +51,6 @@ RuntimeSystem::RuntimeSystem(Machine& machine, Simulator& sim,
       sim_(sim),
       config_(config),
       workers_(machine.worker_count()) {
-  if (config_.enable_daemon) {
-    daemons_.reserve(machine_.worker_count());
-    next_daemon_tick_.assign(machine_.worker_count(), config_.daemon.period);
-    for (std::size_t w = 0; w < machine_.worker_count(); ++w) {
-      daemons_.push_back(std::make_unique<ReconfigDaemon>(
-          machine_.worker(w).fabric(), config_.daemon));
-    }
-  }
   if (config_.faults.enabled) {
     FaultInjector::Callbacks cb;
     cb.on_worker_down = [this](std::size_t w, SimTime at) {
@@ -83,15 +78,6 @@ void RuntimeSystem::register_kernel(const KernelIR& kernel,
               return a.shape.slots() > b.shape.slots();
             });
   variants_[kernel.id] = std::move(variants);
-  if (config_.enable_daemon) {
-    // The daemon prefetches the variant the scheduler would pick on an
-    // empty fabric.
-    for (std::size_t w = 0; w < machine_.worker_count(); ++w) {
-      if (const AcceleratorModule* preferred = choose_variant(kernel.id, w)) {
-        daemons_[w]->register_module(*preferred);
-      }
-    }
-  }
 }
 
 void RuntimeSystem::submit(const Task& task) {
@@ -133,11 +119,10 @@ std::size_t RuntimeSystem::route(const Task& task) {
       // (see arrive()); submission always targets the home worker.
       return home;
     case DistributionPolicy::kCentralized: {
-      // Every task consults the global dispatcher: request + response
-      // messages plus serialised dispatcher service. Workers the runtime
-      // has detected as dead are never placed on.
+      // Every task consults the global dispatcher: a request and a
+      // response message; the dispatcher's service time is not charged.
+      // Workers the runtime has detected as dead are never placed on.
       monitor_messages_ += 2;
-      dispatcher_.reserve(sim_.now(), config_.dispatcher_service);
       std::size_t best = home;
       for (std::size_t w = 0; w < total; ++w) {
         if (workers_[w].known_down) continue;
@@ -205,8 +190,7 @@ void RuntimeSystem::arrive(std::size_t worker, Task task, int spill_hops) {
   // A deep queue diffuses the task onward (bounded cascade), first to a
   // node neighbour, then across the node boundary.
   if (config_.distribution == DistributionPolicy::kLazyLocal &&
-      spill_hops < static_cast<int>(config_.max_spill_hops) &&
-      machine_.worker_count() > 1) {
+      spill_hops < kMaxSpillHops && machine_.worker_count() > 1) {
     const std::size_t depth =
         workers_[worker].queue.size() + (workers_[worker].busy ? 1 : 0);
     if (depth >= config_.spill_depth) {
@@ -330,15 +314,6 @@ void RuntimeSystem::dispatch(std::size_t worker) {
 
   const SimTime now = sim_.now();
   const KernelIR& kernel = kernels_.at(task.kernel);
-  if (config_.enable_daemon) {
-    // Feed the History scores and tick opportunistically (the daemon has
-    // no thread of its own; dispatch points are its scheduling quanta).
-    daemons_[worker]->record_call(task.kernel);
-    while (next_daemon_tick_[worker] <= now) {
-      daemons_[worker]->tick(next_daemon_tick_[worker]);
-      next_daemon_tick_[worker] += config_.daemon.period;
-    }
-  }
   DeviceClass device = place(task, worker);
 
   // Ready -> dispatch (queue wait) as a complete span on the worker's

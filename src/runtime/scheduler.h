@@ -16,18 +16,24 @@
 //  * DistributionPolicy — which worker's queue a task lands in
 //    (home-only / lazy local-queue spill / centralized dispatcher /
 //    poll-everyone oracle).
+//
+// The lazy spill cascade is bounded by a fixed hop count (scheduler.cc:
+// kMaxSpillHops); the centralized dispatcher costs two monitor messages
+// per task and no service time. There is no daemon hook: the
+// history-driven reconfiguration daemon (runtime/daemon.h) is driven
+// directly by its caller, not ticked from dispatch().
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/stats.h"
 #include "model/predictor.h"
-#include "runtime/daemon.h"
 #include "runtime/fault.h"
 #include "runtime/machine.h"
 #include "runtime/task.h"
@@ -57,10 +63,7 @@ struct RuntimeConfig {
   Objective objective = Objective::kTime;
   std::uint64_t size_threshold = 4096;   // items, for kSizeThreshold
   std::size_t spill_depth = 4;           // lazy: queue depth that spills
-  std::size_t max_spill_hops = 3;        // lazy: cascade limit per task
   bool share_fabric = true;              // UNILOGIC on/off
-  SimDuration dispatcher_service = microseconds(2);  // centralized cost
-  SimDuration poll_cost = microseconds(1);           // per polled worker
   /// Admission control: a task arriving at a worker whose queue depth
   /// (queued + running) has reached this limit is *shed* — dropped from
   /// the pending set, counted in RuntimeStats::shed_tasks, and reported
@@ -74,10 +77,6 @@ struct RuntimeConfig {
   /// keeps the legacy immediate-dispatch behaviour byte-identical.
   std::size_t batch_size = 1;
   SimDuration dispatch_overhead = 0;
-  /// Run a per-worker reconfiguration daemon (history-driven prefetch,
-  /// §4.2): ticks opportunistically at dispatch points.
-  bool enable_daemon = false;
-  DaemonConfig daemon;
   /// Live fault injection through the simulator (FaultInjector): worker
   /// crashes, node losses, link degradation and fabric SEUs, detected by
   /// a heartbeat monitor and recovered via re-execution on survivors.
@@ -145,23 +144,11 @@ class RuntimeSystem {
   RuntimeStats stats() const;
   CostPredictor& predictor() { return predictor_; }
   const RuntimeConfig& config() const { return config_; }
-  /// Daemon of a worker (nullptr unless enable_daemon).
-  ReconfigDaemon* daemon(std::size_t worker) {
-    return daemons_.empty() ? nullptr : daemons_[worker].get();
-  }
 
   /// Live fault injector (nullptr unless config.faults.enabled).
   FaultInjector* faults() { return injector_.get(); }
 
   std::size_t worker_count() const { return workers_.size(); }
-  /// Queue depth (queued + running) of `worker` — the same metric
-  /// admission control limits, exposed for the repartitioner's epoch
-  /// sampling (read only between engine windows, when nothing runs).
-  std::size_t queue_depth(std::size_t worker) const {
-    ECO_CHECK(worker < workers_.size());
-    const WorkerState& w = workers_[worker];
-    return w.queue.size() + (w.busy ? 1 : 0);
-  }
   /// Workers the heartbeat monitor currently believes alive — the node's
   /// effective capacity as far as any placement policy may legally know
   /// (known_down, never the injector's ground truth).
@@ -303,8 +290,6 @@ class RuntimeSystem {
   std::map<KernelId, KernelIR> kernels_;
   std::map<KernelId, std::vector<AcceleratorModule>> variants_;
   std::vector<WorkerState> workers_;
-  std::vector<std::unique_ptr<ReconfigDaemon>> daemons_;  // if enabled
-  std::vector<SimTime> next_daemon_tick_;
   std::uint64_t failures_ = 0;
   std::uint64_t reexecutions_ = 0;
   std::unique_ptr<FaultInjector> injector_;  // if config.faults.enabled
@@ -313,7 +298,6 @@ class RuntimeSystem {
   std::uint64_t detections_ = 0;
   std::uint64_t task_failovers_ = 0;
   std::vector<RecoveryRecord> recovery_log_;
-  Timeline dispatcher_{"dispatcher"};  // centralized mode serialisation
   CostPredictor predictor_;
   std::vector<TaskResult> results_;
   std::uint64_t monitor_messages_ = 0;

@@ -26,7 +26,7 @@ constexpr Bytes kEdgeBytes = 4;
 struct GraphTraceNames {
   CounterId iter = CounterRegistry::intern("serve.graph.iter");
 };
-[[maybe_unused]] const GraphTraceNames& graph_trace_names() {
+const GraphTraceNames& graph_trace_names() {
   static const GraphTraceNames names;
   return names;
 }

@@ -56,21 +56,12 @@ struct ServeTraceNames {
   CounterId forward = CounterRegistry::intern("serve.forward");
   CounterId block_move = CounterRegistry::intern("unimem.block_move");
 };
-[[maybe_unused]] const ServeTraceNames& serve_trace_names() {
+const ServeTraceNames& serve_trace_names() {
   static const ServeTraceNames names;
   return names;
 }
 
 }  // namespace
-
-const char* kv_op_name(KvOp op) {
-  switch (op) {
-    case KvOp::kGet: return "get";
-    case KvOp::kSet: return "set";
-    case KvOp::kDelete: return "del";
-  }
-  return "?";
-}
 
 KernelIR make_kv_kernel() {
   KernelIR k;

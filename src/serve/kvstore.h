@@ -32,8 +32,6 @@ namespace ecoscale::serve {
 
 enum class KvOp : std::uint8_t { kGet = 0, kSet = 1, kDelete = 2 };
 
-const char* kv_op_name(KvOp op);
-
 struct KvConfig {
   /// Distinct keys; must fit the payload's 44-bit key field.
   std::uint64_t key_space = 1ull << 16;
@@ -107,7 +105,6 @@ class KvStore : public repart::RepartClient {
   const KernelIR& kernel() const { return kernel_; }
 
   // --- Block mode (config().repart_blocks > 0) ---------------------------
-  std::size_t block_count() const { return config_.repart_blocks; }
   std::uint32_t block_of(std::uint64_t key) const {
     return static_cast<std::uint32_t>(key * config_.repart_blocks /
                                       config_.key_space);

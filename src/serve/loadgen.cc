@@ -11,6 +11,9 @@ namespace ecoscale::serve {
 
 namespace {
 
+/// Share of requests that are DELETEs (the rest of the non-GET mix is SET).
+constexpr double kDeleteFraction = 0.02;
+
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -21,7 +24,7 @@ std::uint64_t mix64(std::uint64_t x) {
 struct LoadTraceNames {
   CounterId request = CounterRegistry::intern("serve.request");
 };
-[[maybe_unused]] const LoadTraceNames& load_trace_names() {
+const LoadTraceNames& load_trace_names() {
   static const LoadTraceNames names;
   return names;
 }
@@ -35,8 +38,8 @@ LoadGen::LoadGen(ShardedRuntime& rt, KvStore& kv, LoadGenConfig config)
       zipf_(static_cast<std::size_t>(kv.config().key_space),
             config.zipf_skew),
       origins_(rt.node_count()) {
-  ECO_CHECK(config_.get_fraction >= 0.0 && config_.delete_fraction >= 0.0 &&
-            config_.get_fraction + config_.delete_fraction <= 1.0);
+  ECO_CHECK(config_.get_fraction >= 0.0 &&
+            config_.get_fraction + kDeleteFraction <= 1.0);
   for (std::size_t n = 0; n < origins_.size(); ++n) {
     origins_[n].rng.reseed(config_.seed + 0x9e37 * (n + 1));
     origins_[n].issue_time.reserve(budget_per_node());
@@ -99,7 +102,7 @@ void LoadGen::issue_one(std::size_t origin) {
   KvOp op = KvOp::kSet;
   if (r < config_.get_fraction) {
     op = KvOp::kGet;
-  } else if (r < config_.get_fraction + config_.delete_fraction) {
+  } else if (r < config_.get_fraction + kDeleteFraction) {
     op = KvOp::kDelete;
   }
   const std::uint64_t value = mix64(request);
@@ -110,14 +113,7 @@ void LoadGen::issue_one(std::size_t origin) {
 
 void LoadGen::arrival(std::size_t origin) {
   Origin& o = origins_[origin];
-  // Bursty open loop: each arrival instant may carry extra requests.
-  std::uint64_t batch = 1;
-  if (config_.burst_mean > 0.0) {
-    batch += o.rng.bounded_poisson(config_.burst_mean, config_.burst_cap);
-  }
-  for (std::uint64_t i = 0; i < batch && o.issued < budget_per_node(); ++i) {
-    issue_one(origin);
-  }
+  issue_one(origin);
   if (o.issued >= budget_per_node()) return;
   const double per_origin_rate =
       config_.offered_load / static_cast<double>(origins_.size());
@@ -146,13 +142,8 @@ void LoadGen::on_response(std::size_t origin, const KvResponse& resp) {
                  static_cast<std::uint32_t>(resp.request));
   if (config_.mode == LoadGenConfig::Mode::kClosedLoop &&
       o.issued < budget_per_node()) {
-    // The answered client issues its next request after thinking.
-    if (config_.think_time == 0) {
-      issue_one(origin);
-    } else {
-      rt_.shard(origin).schedule_after(config_.think_time,
-                                       [this, origin] { issue_one(origin); });
-    }
+    // The answered client issues its next request right away.
+    issue_one(origin);
   }
 }
 

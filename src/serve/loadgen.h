@@ -4,15 +4,14 @@
 // requests with Zipfian key skew (common/rng.h ZipfSampler — one shared
 // immutable CDF, per-origin streams):
 //
-//  * Open loop: Poisson arrivals at offered_load / nodes per origin,
-//    optionally bursty (bounded-Poisson extra arrivals per instant).
+//  * Open loop: Poisson arrivals at offered_load / nodes per origin.
 //    Arrival times never depend on responses — the generator keeps
 //    offering load while the service saturates, which is what makes the
 //    throughput-vs-offered-load knee and the admission-control shed
 //    count visible.
 //  * Closed loop: clients_per_node clients per origin, each issuing its
-//    next request (after think_time) when the previous one answers —
-//    sheds answer too, so overload degrades, never livelocks.
+//    next request the instant the previous one answers — sheds answer
+//    too, so overload degrades, never livelocks.
 //
 // Latency is recorded at response delivery on the origin shard into a
 // per-origin allocation-free histogram; report() folds origins with a
@@ -39,16 +38,10 @@ struct LoadGenConfig {
   /// and the per-origin issue budget.
   double offered_load = 2e6;
   std::size_t requests_per_node = 2000;
-  /// Open loop, optional bursts: mean extra same-instant arrivals
-  /// (bounded Poisson, capped at burst_cap). 0 = pure Poisson process.
-  double burst_mean = 0.0;
-  std::uint64_t burst_cap = 8;
 
-  /// Closed loop: concurrent clients per origin, requests each, think
-  /// time between a response and the client's next request.
+  /// Closed loop: concurrent clients per origin and requests each.
   std::size_t clients_per_node = 8;
   std::size_t requests_per_client = 200;
-  SimDuration think_time = 0;
 
   /// Key popularity skew (0 = uniform) over the store's key space.
   double zipf_skew = 0.99;
@@ -63,9 +56,9 @@ struct LoadGenConfig {
   /// so the traffic's home keeps shifting and a static partition decays.
   /// 0 = stationary windows.
   SimDuration phase_period = 0;
-  /// Operation mix; the remainder after get + delete is SET.
+  /// Operation mix: GET with this probability, DELETE with a fixed 2%
+  /// (loadgen.cc kDeleteFraction), SET otherwise.
   double get_fraction = 0.80;
-  double delete_fraction = 0.02;
   std::uint64_t seed = 0xEC05CA1E;
 };
 

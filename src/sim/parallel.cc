@@ -92,7 +92,7 @@ struct ParTraceNames {
   CounterId stall = CounterRegistry::intern("sim.stall");
   CounterId steal = CounterRegistry::intern("sim.steal");
 };
-[[maybe_unused]] const ParTraceNames& par_trace_names() {
+const ParTraceNames& par_trace_names() {
   static const ParTraceNames names;
   return names;
 }
@@ -383,13 +383,14 @@ void ShardedSimulator::reserve_mailboxes(std::size_t count) {
 }
 
 void ShardedSimulator::rethrow_shard_error() {
+  // The lowest shard's error is the run's; every other shard's error from
+  // the same failed run is dropped, so a later clean run() does not throw.
+  std::exception_ptr first;
   for (auto& s : shards_) {
-    if (s->error) {
-      std::exception_ptr e = s->error;
-      s->error = nullptr;
-      std::rethrow_exception(e);
-    }
+    if (s->error && !first) first = s->error;
+    s->error = nullptr;
   }
+  if (first) std::rethrow_exception(first);
 }
 
 SimTime ShardedSimulator::shard_horizon(std::size_t d,

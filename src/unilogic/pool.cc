@@ -16,7 +16,7 @@ struct PoolTraceNames {
   CounterId fallback = CounterRegistry::intern("unilogic.fallback");
   CounterId wasted = CounterRegistry::intern("unilogic.wasted");
 };
-[[maybe_unused]] const PoolTraceNames& pool_trace_names() {
+const PoolTraceNames& pool_trace_names() {
   static const PoolTraceNames names;
   return names;
 }
@@ -96,8 +96,8 @@ std::optional<UnilogicInvoke> UnilogicPool::invoke(
 
     // Spans land on the executing fabric's lane (the accelerator view of
     // C4 sharing: who queued behind whom, and for how long).
-    [[maybe_unused]] const obs::Lane lane{workers_[target]->coord().node,
-                                          workers_[target]->coord().worker};
+    const obs::Lane lane{workers_[target]->coord().node,
+                         workers_[target]->coord().worker};
 
     if (remote) {
       // Doorbell: user-level store to the remote block's mapped registers.

@@ -315,6 +315,86 @@ TEST(Daemon, ScoresDecay) {
   EXPECT_LT(daemon.score(m.kernel), s0);
 }
 
+TEST(Daemon, IgnoresUnregisteredKernels) {
+  ReconfigManager fabric("f", ReconfigConfig{});
+  ReconfigDaemon daemon(fabric);
+  const auto m = emit_variants(make_montecarlo_kernel(), 1).front();
+  // Calls are scored, but without a registered module there is nothing
+  // to prefetch.
+  for (int i = 0; i < 10; ++i) daemon.record_call(m.kernel);
+  EXPECT_EQ(daemon.tick(0), 0u);
+  EXPECT_GT(daemon.score(m.kernel), 0.0);
+  EXPECT_FALSE(daemon.is_resident(m.kernel));
+  EXPECT_EQ(daemon.prefetches(), 0u);
+  EXPECT_EQ(fabric.loads(), 0u);
+}
+
+TEST(Daemon, ColdScoresAreNotPrefetched) {
+  ReconfigManager fabric("f", ReconfigConfig{});
+  ReconfigDaemon daemon(fabric);
+  const auto m = emit_variants(make_montecarlo_kernel(), 1).front();
+  // One call scored while the kernel has no module, then ten silent
+  // ticks: the score decays to a small positive value.
+  daemon.record_call(m.kernel);
+  SimTime t = 0;
+  for (int period = 0; period < 11; ++period) daemon.tick(t++);
+  const double cold = daemon.score(m.kernel);
+  EXPECT_GT(cold, 0.0);
+  // Registered now, the cold kernel is still not worth a load.
+  daemon.register_module(m);
+  EXPECT_EQ(daemon.tick(t++), 0u);
+  EXPECT_FALSE(daemon.is_resident(m.kernel));
+  EXPECT_EQ(fabric.loads(), 0u);
+  // A single fresh call lifts the score over the floor.
+  daemon.record_call(m.kernel);
+  EXPECT_EQ(daemon.tick(t++), 1u);
+  EXPECT_TRUE(daemon.is_resident(m.kernel));
+}
+
+TEST(Daemon, ResidentKernelIsNotLoadedTwice) {
+  ReconfigManager fabric("f", ReconfigConfig{});
+  ReconfigDaemon daemon(fabric);
+  const auto m = emit_variants(make_montecarlo_kernel(), 1).front();
+  daemon.register_module(m);
+  for (int i = 0; i < 10; ++i) daemon.record_call(m.kernel);
+  EXPECT_EQ(daemon.tick(0), 1u);
+  for (int i = 0; i < 10; ++i) daemon.record_call(m.kernel);
+  EXPECT_EQ(daemon.tick(milliseconds(1)), 0u);
+  EXPECT_TRUE(daemon.is_resident(m.kernel));
+  EXPECT_EQ(daemon.prefetches(), 1u);
+  EXPECT_EQ(fabric.loads(), 1u);
+}
+
+TEST(Daemon, NeverEvictsABusyResident) {
+  ReconfigConfig fc;
+  fc.fabric_width = 2;
+  fc.fabric_height = 8;  // one module at a time
+  ReconfigManager fabric("f", fc);
+  ReconfigDaemon daemon(fabric);
+  auto a = emit_variants(make_montecarlo_kernel(), 1).front();
+  auto b = emit_variants(make_sha_like_kernel(), 1).front();
+  a.shape = ModuleShape{2, 8};
+  b.shape = ModuleShape{2, 8};
+  daemon.register_module(a);
+  daemon.register_module(b);
+  daemon.record_call(a.kernel);
+  daemon.tick(0);
+  ASSERT_TRUE(daemon.is_resident(a.kernel));
+  // a executes for the whole test; b turns far hotter than a.
+  const auto region = fabric.region_of(a.kernel);
+  ASSERT_TRUE(region.has_value());
+  fabric.set_busy_until(*region, milliseconds(1000));
+  SimTime t = milliseconds(1);
+  for (int period = 0; period < 6; ++period) {
+    for (int i = 0; i < 10; ++i) daemon.record_call(b.kernel);
+    EXPECT_EQ(daemon.tick(t), 0u);
+    t += milliseconds(1);
+  }
+  EXPECT_TRUE(daemon.is_resident(a.kernel));
+  EXPECT_FALSE(daemon.is_resident(b.kernel));
+  EXPECT_EQ(daemon.evictions(), 0u);
+}
+
 // --- resilience -------------------------------------------------------------
 
 struct FaultyRun {

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "litmus/executor.h"
 #include "litmus/oracle.h"
 #include "litmus/program.h"
@@ -294,6 +295,47 @@ TEST(LitmusSharded, ExecutorsAgreeWithEachOther) {
           << name << ": randomized-only outcome " << format_outcome(p, o);
     }
   }
+}
+
+// run_randomized is the fold of its rounds: the outcome set is their
+// union, the counters their sums and the fingerprint their chain.
+TEST(LitmusSharded, AggregateFoldsItsRounds) {
+  const LitmusProgram& p = suite_program("migration_inflight");
+  const RandomizedConfig c = quick_config(1);
+  const RandomizedResult all = run_randomized(p, c);
+  std::set<Outcome> outcomes;
+  std::uint64_t fingerprint = kFnvOffsetBasis;
+  std::uint64_t events = 0;
+  std::uint64_t migrations = 0;
+  std::uint64_t forwards = 0;
+  for (std::uint64_t r = 0; r < c.rounds; ++r) {
+    const RandomizedRun run = run_randomized_once(p, c, r);
+    outcomes.insert(run.outcome);
+    fingerprint = fnv_mix(fingerprint, run.fingerprint);
+    events += run.events;
+    migrations += run.migrations;
+    forwards += run.forwards;
+  }
+  EXPECT_EQ(all.outcomes, outcomes);
+  EXPECT_EQ(all.fingerprint, fingerprint);
+  EXPECT_EQ(all.events, events);
+  EXPECT_EQ(all.migrations, migrations);
+  EXPECT_EQ(all.forwards, forwards);
+}
+
+// Dead-owner handling follows the retry contract: an access fails its
+// page over only after three nacks, so no round counts a failover without
+// at least three nacks behind it.
+TEST(LitmusSharded, FailoverFollowsExhaustedRetries) {
+  const LitmusProgram& p = suite_program("failover_lost_update");
+  const RandomizedConfig c = quick_config(1);
+  std::uint64_t failovers = 0;
+  for (std::uint64_t r = 0; r < c.rounds; ++r) {
+    const RandomizedRun run = run_randomized_once(p, c, r);
+    EXPECT_GE(run.nacks, 3 * run.failovers) << "round " << r;
+    failovers += run.failovers;
+  }
+  EXPECT_GT(failovers, 0u);
 }
 
 // Each suite program's randomized fingerprint at the quick configuration

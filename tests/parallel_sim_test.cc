@@ -118,6 +118,76 @@ TEST(ShardedSimulator, LowestShardIdExceptionWinsAcrossThreads) {
   EXPECT_GT(engine.parallel_rounds(), 0u);
 }
 
+// Only the run's error is rethrown, and every shard's error is cleared with
+// it: shard 3's exception from the same failed run must not surface from
+// the next, clean run() of the engine.
+TEST(ShardedSimulator, FailedRunLeavesNoStaleShardError) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ShardedConfig sc;
+    sc.shards = 4;
+    sc.lookahead = 10;
+    sc.threads = threads;
+    ShardedSimulator engine(sc);
+    if (threads > 1) ShardedSimulatorTestPeer::pin_parallel(engine);
+    for (std::size_t s = 0; s < 4; ++s) {
+      engine.shard(s).schedule_at(5, [] {});
+    }
+    engine.shard(3).schedule_at(7, [] {
+      throw std::runtime_error("shard 3 exploded");
+    });
+    engine.shard(1).schedule_at(7, [] {
+      throw std::runtime_error("shard 1 exploded");
+    });
+    try {
+      engine.run();
+      FAIL() << "run() swallowed the shard exceptions";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "shard 1 exploded") << threads << " threads";
+    }
+    bool ran = false;
+    engine.shard(0).schedule_at(100, [&ran] { ran = true; });
+    EXPECT_NO_THROW(engine.run()) << threads << " threads";
+    EXPECT_TRUE(ran) << threads << " threads";
+  }
+}
+
+// A second failed run on the same engine reports its own lowest error,
+// not one left over from the first: shard 2's exception is rethrown even
+// though shard 3 also failed the run before.
+TEST(ShardedSimulator, EachFailedRunRethrowsItsOwnError) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ShardedConfig sc;
+    sc.shards = 4;
+    sc.lookahead = 10;
+    sc.threads = threads;
+    ShardedSimulator engine(sc);
+    if (threads > 1) ShardedSimulatorTestPeer::pin_parallel(engine);
+    for (std::size_t s = 0; s < 4; ++s) {
+      engine.shard(s).schedule_at(5, [] {});
+    }
+    engine.shard(3).schedule_at(7, [] {
+      throw std::runtime_error("shard 3 exploded");
+    });
+    engine.shard(1).schedule_at(7, [] {
+      throw std::runtime_error("shard 1 exploded");
+    });
+    EXPECT_THROW(engine.run(), std::runtime_error) << threads << " threads";
+    for (std::size_t s = 0; s < 4; ++s) {
+      engine.shard(s).schedule_at(100, [] {});
+    }
+    engine.shard(2).schedule_at(102, [] {
+      throw std::runtime_error("shard 2 exploded");
+    });
+    try {
+      engine.run();
+      FAIL() << "run() swallowed shard 2's exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "shard 2 exploded") << threads << " threads";
+    }
+    EXPECT_NO_THROW(engine.run()) << threads << " threads";
+  }
+}
+
 // A post that lands in its destination's past (possible across a run()
 // seam, where shard clocks have drifted apart) fails in the exchange, not
 // in a window. It must end the run like a throwing action: run() rethrows
@@ -1492,7 +1562,11 @@ void expect_stall_rejection_invisible(
       }
       runs.push_back(scenario(threads));
       if (traced) {
+        // With the sites compiled out the session records nothing; the
+        // counts must still agree.
+#if !defined(ECO_TRACE_DISABLED)
         EXPECT_GT(obs::TraceSession::instance().events_recorded(), 0u);
+#endif
         obs::TraceSession::instance().stop();
       }
       if (threads > 1) {

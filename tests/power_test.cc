@@ -96,39 +96,6 @@ TEST(ProgressivePgas, LocalAccessOnlyPaysLevelZero) {
   EXPECT_LT(r.finish, microseconds(50));
 }
 
-// --- daemon integrated into the runtime -------------------------------------------
-
-TEST(RuntimeDaemon, EnabledRuntimePrefetches) {
-  MachineConfig mc;
-  mc.nodes = 1;
-  mc.workers_per_node = 2;
-  mc.worker.fabric.fabric_width = 6;  // two 3-wide modules fit
-  Machine machine(mc);
-  Simulator sim;
-  RuntimeConfig rc;
-  rc.placement = PlacementPolicy::kAlwaysHardware;
-  rc.enable_daemon = true;
-  rc.daemon.period = microseconds(500);
-  RuntimeSystem runtime(machine, sim, rc);
-  const auto kernel = make_montecarlo_kernel();
-  runtime.register_kernel(kernel, emit_variants(kernel, 1));
-  ASSERT_NE(runtime.daemon(0), nullptr);
-  for (TaskId i = 0; i < 20; ++i) {
-    Task t;
-    t.id = i;
-    t.kernel = kernel.id;
-    t.items = 50000;
-    t.features.items = 50000;
-    t.home = {0, 0};
-    t.release = milliseconds(i);
-    runtime.submit(t);
-  }
-  runtime.run();
-  EXPECT_EQ(runtime.results().size(), 20u);
-  // The daemon saw the calls and holds a positive score for the kernel.
-  EXPECT_GT(runtime.daemon(0)->score(kernel.id), 0.0);
-}
-
 TEST(RuntimeFailures, AllTasksCompleteDespiteCrashes) {
   MachineConfig mc;
   mc.nodes = 2;
@@ -182,16 +149,6 @@ TEST(RuntimeFailures, ZeroRateMeansZeroFailures) {
   }
   runtime.run();
   EXPECT_EQ(runtime.stats().worker_failures, 0u);
-}
-
-TEST(RuntimeDaemon, DisabledRuntimeHasNoDaemon) {
-  MachineConfig mc;
-  mc.nodes = 1;
-  mc.workers_per_node = 1;
-  Machine machine(mc);
-  Simulator sim;
-  RuntimeSystem runtime(machine, sim, RuntimeConfig{});
-  EXPECT_EQ(runtime.daemon(0), nullptr);
 }
 
 }  // namespace

@@ -30,17 +30,16 @@ namespace ecoscale {
 namespace {
 
 using repart::LoadTracker;
-using repart::RepartConfig;
 using repart::Repartitioner;
 using repart::TreeLevels;
 
 ShardedRuntime make_rt(std::size_t nodes, std::vector<std::size_t> radices,
-                       std::size_t threads = 1) {
+                       const RuntimeConfig& runtime = {}) {
   ShardedRuntimeConfig cfg;
   cfg.nodes = nodes;
   cfg.workers_per_node = 1;
-  cfg.threads = threads;
   cfg.internode_radices = std::move(radices);
+  cfg.runtime = runtime;
   return ShardedRuntime(cfg);
 }
 
@@ -167,20 +166,20 @@ void every_epoch(ShardedRuntime& rt, std::size_t shard, SimDuration period,
 }
 
 TEST(Repartitioner, LocalityNeedsTwoEpochConfirmationAndMinGain) {
-  ShardedRuntime rt = make_rt(2, {});
-  RepartConfig cfg;
-  cfg.epoch = microseconds(10);
-  cfg.max_moves = 8;
-  cfg.imbalance = 1e9;  // locality only
-  cfg.min_gain = 50;
-  cfg.cooldown = 1;
-  Repartitioner rp(rt, cfg, /*items=*/2, {0, 0});
+  RuntimeConfig cfg;
+  cfg.repartition_epoch = microseconds(10);
+  cfg.repartition_max_moves = 8;
+  cfg.repartition_imbalance = 1e9;  // locality only
+  cfg.repartition_min_gain = 50;
+  cfg.repartition_cooldown = 1;
+  ShardedRuntime rt = make_rt(2, {}, cfg);
+  Repartitioner rp(rt, /*items=*/2, {0, 0});
   RecordingClient client;
   rp.set_client(&client);
   rp.install();
   // Item 0: strong node-1 affinity every epoch. Item 1: affinity below
   // min_gain — never moves.
-  every_epoch(rt, 1, cfg.epoch, 6, [&rp] {
+  every_epoch(rt, 1, cfg.repartition_epoch, 6, [&rp] {
     rp.tracker().record_access(1, 0, 1, 100);
     rp.tracker().record_access(1, 1, 1, 40);
   });
@@ -202,25 +201,25 @@ TEST(Repartitioner, LocalityNeedsTwoEpochConfirmationAndMinGain) {
 }
 
 TEST(Repartitioner, CooldownFreezesAMovedItem) {
-  ShardedRuntime rt = make_rt(2, {});
-  RepartConfig cfg;
-  cfg.epoch = microseconds(10);
-  cfg.max_moves = 8;
-  cfg.imbalance = 1e9;
-  cfg.min_gain = 50;
-  cfg.cooldown = 4;
-  Repartitioner rp(rt, cfg, /*items=*/1, {0});
+  RuntimeConfig cfg;
+  cfg.repartition_epoch = microseconds(10);
+  cfg.repartition_max_moves = 8;
+  cfg.repartition_imbalance = 1e9;
+  cfg.repartition_min_gain = 50;
+  cfg.repartition_cooldown = 4;
+  ShardedRuntime rt = make_rt(2, {}, cfg);
+  Repartitioner rp(rt, /*items=*/1, {0});
   RecordingClient client;
   rp.set_client(&client);
   rp.install();
   // Affinity flips to node 1 for two epochs (moves the item at epoch 2),
   // then back to node 0 from epoch 3 on. The return preference confirms
   // at epoch 4 but the item is frozen until epoch 2 + cooldown = 6.
-  every_epoch(rt, 1, cfg.epoch, 2,
+  every_epoch(rt, 1, cfg.repartition_epoch, 2,
               [&rp] { rp.tracker().record_access(1, 0, 1, 100); });
   for (std::size_t e = 2; e < 10; ++e) {
-    const SimTime at =
-        static_cast<SimTime>(e) * cfg.epoch + cfg.epoch / 2;
+    const SimTime at = static_cast<SimTime>(e) * cfg.repartition_epoch +
+                       cfg.repartition_epoch / 2;
     rt.shard(0).schedule_at(at,
                             [&rp] { rp.tracker().record_access(0, 0, 0, 100); });
   }
@@ -233,18 +232,18 @@ TEST(Repartitioner, CooldownFreezesAMovedItem) {
 }
 
 TEST(Repartitioner, MaxMovesRateLimitsByGainTimesDistance) {
-  ShardedRuntime rt = make_rt(2, {});
-  RepartConfig cfg;
-  cfg.epoch = microseconds(10);
-  cfg.max_moves = 1;
-  cfg.imbalance = 1e9;
-  cfg.min_gain = 10;
-  cfg.cooldown = 1;
-  Repartitioner rp(rt, cfg, /*items=*/2, {0, 0});
+  RuntimeConfig cfg;
+  cfg.repartition_epoch = microseconds(10);
+  cfg.repartition_max_moves = 1;
+  cfg.repartition_imbalance = 1e9;
+  cfg.repartition_min_gain = 10;
+  cfg.repartition_cooldown = 1;
+  ShardedRuntime rt = make_rt(2, {}, cfg);
+  Repartitioner rp(rt, /*items=*/2, {0, 0});
   rp.install();
   // Both items want node 1; item 1 has the bigger advantage, so the
   // single slot per epoch goes to it first, item 0 follows next epoch.
-  every_epoch(rt, 1, cfg.epoch, 4, [&rp] {
+  every_epoch(rt, 1, cfg.repartition_epoch, 4, [&rp] {
     rp.tracker().record_access(1, 0, 1, 60);
     rp.tracker().record_access(1, 1, 1, 200);
   });
@@ -257,19 +256,19 @@ TEST(Repartitioner, MaxMovesRateLimitsByGainTimesDistance) {
 }
 
 TEST(Repartitioner, BalancePassSpreadsWorkWhenImbalanced) {
-  ShardedRuntime rt = make_rt(2, {});
-  RepartConfig cfg;
-  cfg.epoch = microseconds(10);
-  cfg.max_moves = 1;
-  cfg.imbalance = 0.10;
-  cfg.min_gain = 1000000;  // locality never fires
-  cfg.cooldown = 1;
-  cfg.alpha = 1.0;
-  Repartitioner rp(rt, cfg, /*items=*/4, {0, 0, 0, 0});
+  RuntimeConfig cfg;
+  cfg.repartition_epoch = microseconds(10);
+  cfg.repartition_max_moves = 1;
+  cfg.repartition_imbalance = 0.10;
+  cfg.repartition_min_gain = 1000000;  // locality never fires
+  cfg.repartition_cooldown = 1;
+  cfg.repartition_alpha = 1.0;
+  ShardedRuntime rt = make_rt(2, {}, cfg);
+  Repartitioner rp(rt, /*items=*/4, {0, 0, 0, 0});
   rp.install();
   // All work lands on node 0's items: the balance pass must shed toward
   // node 1, one item per epoch (rate limit).
-  every_epoch(rt, 0, cfg.epoch, 4, [&rp] {
+  every_epoch(rt, 0, cfg.repartition_epoch, 4, [&rp] {
     for (std::uint32_t i = 0; i < 4; ++i) {
       rp.tracker().record_work(0, i, 100);
     }
@@ -289,17 +288,52 @@ TEST(Repartitioner, BalancePassSpreadsWorkWhenImbalanced) {
 }
 
 TEST(Repartitioner, QuietWindowsPlanNothing) {
-  ShardedRuntime rt = make_rt(2, {});
-  RepartConfig cfg;
-  cfg.epoch = microseconds(10);
-  Repartitioner rp(rt, cfg, /*items=*/4, {0, 0, 1, 1});
+  RuntimeConfig cfg;
+  cfg.repartition_epoch = microseconds(10);
+  ShardedRuntime rt = make_rt(2, {}, cfg);
+  Repartitioner rp(rt, /*items=*/4, {0, 0, 1, 1});
   rp.install();
   // Keep the sim alive with no recorded traffic at all.
-  every_epoch(rt, 0, cfg.epoch, 5, [] {});
+  every_epoch(rt, 0, cfg.repartition_epoch, 5, [] {});
   rt.run();
   EXPECT_EQ(rp.moves().size(), 0u);
   EXPECT_GE(rp.stats().epochs, 4u);
   EXPECT_EQ(rp.stats().plan_fingerprint, 1469598103934665603ull);
+}
+
+// The balance pass is hysteretic: a 120/80 split (imbalance 0.2) plans no
+// move under a 0.5 floor, and one balancing move under a 0.1 floor.
+TEST(Repartitioner, ImbalanceBelowTheFloorPlansNoBalanceMove) {
+  for (const double floor : {0.5, 0.1}) {
+    RuntimeConfig cfg;
+    cfg.repartition_epoch = microseconds(10);
+    cfg.repartition_max_moves = 1;
+    cfg.repartition_imbalance = floor;
+    cfg.repartition_min_gain = 1000000;  // locality never fires
+    cfg.repartition_cooldown = 1;
+    cfg.repartition_alpha = 1.0;
+    ShardedRuntime rt = make_rt(2, {}, cfg);
+    Repartitioner rp(rt, /*items=*/10, {0, 0, 0, 0, 0, 0, 1, 1, 1, 1});
+    rp.install();
+    // Every item carries the same work, wherever it lives.
+    for (std::size_t node = 0; node < 2; ++node) {
+      every_epoch(rt, node, cfg.repartition_epoch, 4, [&rp, node] {
+        for (std::uint32_t i = 0; i < 10; ++i) {
+          if (rp.owner(i) == node) rp.tracker().record_work(node, i, 20);
+        }
+      });
+    }
+    rt.run();
+    if (floor > 0.2) {
+      EXPECT_EQ(rp.moves().size(), 0u);
+      EXPECT_NEAR(rp.stats().last_imbalance, 0.2, 1e-9);
+    } else {
+      ASSERT_EQ(rp.moves().size(), 1u);
+      EXPECT_EQ(rp.moves()[0].kind, Repartitioner::MoveKind::kBalance);
+      EXPECT_EQ(rp.moves()[0].from, 0u);
+      EXPECT_EQ(rp.moves()[0].to, 1u);
+    }
+  }
 }
 
 // --- migration under live load + outage: determinism and consistency ------
@@ -479,12 +513,18 @@ TEST(MigrationUnderLoad, FingerprintIsPinned) {
   EXPECT_EQ(run.fingerprint, 0x9724c2bfe736e0ccull);
 }
 
-repart::MeshWorkload::Report run_small_mesh(bool reactive,
-                                            std::uint64_t* plan) {
+repart::MeshWorkload::Report run_small_mesh(
+    bool reactive, Repartitioner::Stats* stats = nullptr) {
   ShardedRuntimeConfig rc;
   rc.nodes = 4;
   rc.workers_per_node = 1;
   rc.internode_radices = {2, 2};
+  if (reactive) {
+    rc.runtime.repartition_epoch = microseconds(10);
+    rc.runtime.repartition_max_moves = 16;
+    rc.runtime.repartition_cooldown = 2;
+    rc.runtime.repartition_min_gain = 8;
+  }
   ShardedRuntime rt(rc);
   repart::MeshConfig mc;
   mc.cells = 256;
@@ -494,35 +534,66 @@ repart::MeshWorkload::Report run_small_mesh(bool reactive,
   mc.duration = microseconds(100);
   std::unique_ptr<Repartitioner> rp;
   if (reactive) {
-    RepartConfig cfg;
-    cfg.epoch = microseconds(10);
-    cfg.max_moves = 16;
-    cfg.cooldown = 2;
-    cfg.min_gain = 8;
     rp = std::make_unique<Repartitioner>(
-        rt, cfg, mc.cells,
+        rt, mc.cells,
         repart::MeshWorkload::contiguous_owners(mc.cells, rc.nodes));
   }
   repart::MeshWorkload mesh(rt, rp.get(), mc);
   if (rp != nullptr) rp->install();
   mesh.start();
   rt.run();
-  if (plan != nullptr && rp != nullptr) *plan = rp->stats().plan_fingerprint;
+  if (stats != nullptr && rp != nullptr) *stats = rp->stats();
   return mesh.report();
 }
 
 TEST(MeshWorkload, StaticFingerprintIsPinned) {
-  const repart::MeshWorkload::Report report = run_small_mesh(false, nullptr);
+  const repart::MeshWorkload::Report report = run_small_mesh(false);
   EXPECT_GT(report.updates, 0u);
   EXPECT_EQ(report.fingerprint, 0xaa744afd79abd694ull);
 }
 
 TEST(MeshWorkload, ReactiveFingerprintIsPinned) {
-  std::uint64_t plan = 0;
-  const repart::MeshWorkload::Report report = run_small_mesh(true, &plan);
+  Repartitioner::Stats stats;
+  const repart::MeshWorkload::Report report = run_small_mesh(true, &stats);
   EXPECT_GT(report.migrations_in, 0u);
-  EXPECT_EQ(plan, 0x9843d71ad4efe784ull);
+  EXPECT_EQ(stats.plan_fingerprint, 0x9843d71ad4efe784ull);
   EXPECT_EQ(report.fingerprint, 0x6a8639375a7b8242ull);
+}
+
+// Every migrated cell carries the same fixed state, and every move the
+// planner executes lands as exactly one inbound migration.
+TEST(MeshWorkload, MigrationsCarryTheCellState) {
+  Repartitioner::Stats stats;
+  const repart::MeshWorkload::Report report = run_small_mesh(true, &stats);
+  ASSERT_GT(stats.moves, 0u);
+  EXPECT_EQ(report.migrations_in, stats.moves);
+  EXPECT_EQ(stats.moved_bytes, 512u * stats.moves);
+}
+
+// Without chords the mesh is a ring: every update reads exactly its two
+// neighbours' halos, every remote read is notified to its owner, and each
+// remote read moves one 8-byte halo value over at least one hop.
+TEST(MeshWorkload, PureRingReadsTwoHalosPerUpdate) {
+  ShardedRuntimeConfig rc;
+  rc.nodes = 4;
+  rc.workers_per_node = 1;
+  rc.internode_radices = {2, 2};
+  ShardedRuntime rt(rc);
+  repart::MeshConfig mc;
+  mc.cells = 256;
+  mc.chords = 0;
+  mc.front_period = microseconds(100);
+  mc.duration = microseconds(100);
+  repart::MeshWorkload mesh(rt, nullptr, mc);
+  mesh.start();
+  rt.run();
+  const repart::MeshWorkload::Report report = mesh.report();
+  ASSERT_GT(report.updates, 0u);
+  ASSERT_GT(report.remote_reads, 0u);
+  EXPECT_EQ(report.total_reads, 2 * report.updates);
+  EXPECT_EQ(report.halo_in, report.remote_reads);
+  EXPECT_EQ(report.halo_byte_hops % 8, 0u);
+  EXPECT_GE(report.halo_byte_hops, 8 * report.remote_reads);
 }
 
 }  // namespace

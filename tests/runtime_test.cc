@@ -225,6 +225,26 @@ TEST(Runtime, LazySpillsUnderBurst) {
   EXPECT_GT(s.monitor_messages, 0u);
 }
 
+// Lazy spilling is a bounded cascade: a task forwards at most three times
+// and then queues wherever it is, however deep that queue is.
+TEST(Runtime, LazySpillCascadeIsBounded) {
+  RuntimeConfig cfg;
+  cfg.placement = PlacementPolicy::kAlwaysSoftware;
+  cfg.distribution = DistributionPolicy::kLazyLocal;
+  cfg.spill_depth = 1;
+  SchedRig rig(cfg);
+  for (TaskId i = 0; i < 16; ++i) {
+    rig.runtime->submit(rig.make_task(i, 200000, {0, 0}));
+  }
+  rig.runtime->run();
+  const auto s = rig.runtime->stats();
+  EXPECT_EQ(rig.runtime->results().size(), 16u);
+  // One forward message per spill hop, at most three hops per task.
+  EXPECT_GT(s.forwarded_tasks, 0u);
+  EXPECT_GT(s.monitor_messages, s.forwarded_tasks);
+  EXPECT_LE(s.monitor_messages, 3 * s.forwarded_tasks);
+}
+
 const TaskResult& result_of(const RuntimeSystem& rt, TaskId id) {
   const auto& results = rt.results();
   const auto it =

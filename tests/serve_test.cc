@@ -223,6 +223,70 @@ TEST(Admission, ShedResponsesKeepClosedLoopsLive) {
   EXPECT_GT(report.completed, 0u);
 }
 
+// GETs follow get_fraction, DELETEs are a fixed 2% share and SETs take
+// the rest, whatever get_fraction is.
+TEST(LoadGen, OpMixFollowsGetFractionWithFixedDeleteShare) {
+  for (const double get_fraction : {0.80, 0.0}) {
+    const std::size_t nodes = 4;
+    ShardedRuntime rt(serve_config(nodes, 2));
+    KvStore kv(rt, small_kv());
+    LoadGenConfig lg;
+    lg.mode = LoadGenConfig::Mode::kOpenLoop;
+    lg.requests_per_node = 1000;
+    lg.get_fraction = get_fraction;
+    LoadGen gen(rt, kv, lg);
+    gen.start();
+    rt.run();
+
+    std::map<KvOp, std::size_t> count;
+    std::size_t total = 0;
+    for (std::size_t n = 0; n < nodes; ++n) {
+      for (const KvApplyRecord& rec : kv.apply_log(n)) {
+        ++count[rec.op];
+        ++total;
+      }
+    }
+    ASSERT_EQ(total, nodes * lg.requests_per_node);
+    const auto share = [&](KvOp op) {
+      return static_cast<double>(count[op]) / static_cast<double>(total);
+    };
+    EXPECT_NEAR(share(KvOp::kGet), get_fraction, 0.02) << get_fraction;
+    EXPECT_NEAR(share(KvOp::kDelete), 0.02, 0.01) << get_fraction;
+    EXPECT_NEAR(share(KvOp::kSet), 0.98 - get_fraction, 0.02)
+        << get_fraction;
+  }
+}
+
+// A closed-loop client issues its next request only once the previous one
+// is answered: a lone client never finds its own request queued ahead of
+// it, so a depth-1 admission limit sheds nothing, and its requests apply
+// in issue order.
+TEST(LoadGen, ClosedLoopClientKeepsOneRequestInFlight) {
+  const std::size_t nodes = 1;
+  ShardedRuntimeConfig rc = serve_config(nodes, 1);
+  rc.runtime.admission_limit = 1;
+  ShardedRuntime rt(rc);
+  KvStore kv(rt, small_kv());
+  LoadGenConfig lg;
+  lg.mode = LoadGenConfig::Mode::kClosedLoop;
+  lg.clients_per_node = 1;
+  lg.requests_per_client = 40;
+  LoadGen gen(rt, kv, lg);
+  gen.start();
+  rt.run();
+
+  const LoadGen::Report report = gen.report();
+  EXPECT_EQ(report.issued, 40u);
+  EXPECT_EQ(report.shed, 0u);
+  EXPECT_EQ(report.completed, report.issued);
+  const auto& log = kv.apply_log(0);
+  ASSERT_EQ(log.size(), 40u);
+  for (std::size_t i = 1; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].request, log[i - 1].request + 1);
+    EXPECT_GT(log[i].at, log[i - 1].at);
+  }
+}
+
 LoadGen::Report run_loadgen(std::size_t threads,
                             std::uint64_t* parallel_rounds = nullptr) {
   ShardedRuntimeConfig rc = serve_config(4, 2, threads);

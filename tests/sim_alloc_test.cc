@@ -31,40 +31,55 @@ namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// The replacements stay out of line: GCC would otherwise inline a delete
+// into a caller whose pointer came from operator new, see std::free meet
+// an operator-new pointer, and report -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   ++g_allocations;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   ++g_allocations;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void* operator new(std::size_t size, std::align_val_t align) {
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     std::align_val_t align) {
   ++g_allocations;
   if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) {
     return p;
   }
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size, std::align_val_t align) {
+[[gnu::noinline]] void* operator new[](std::size_t size,
+                                       std::align_val_t align) {
   ++g_allocations;
   if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) {
     return p;
   }
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
 }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t,
+                                     std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t,
+                                       std::align_val_t) noexcept {
   std::free(p);
 }
 
